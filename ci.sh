@@ -38,11 +38,11 @@ DISTENC_THREADS=1 cargo test -q --release --test accuracy_gate --test sketched_e
 echo "==> DISTENC_THREADS=4 cargo test -q --release --test accuracy_gate --test sketched_equivalence"
 DISTENC_THREADS=4 cargo test -q --release --test accuracy_gate --test sketched_equivalence
 
-# The layout-equivalence gate: tiled solves must be bit-identical to COO
-# — factors, RMSE trace, delta trace — through the exact tier, the
-# sketched tier, and streaming warm re-solves (CSF matches to ~1e-9, its
-# documented contract), and unknown layout names (--layout flag or
-# DISTENC_LAYOUT env) must surface as typed errors, never fallbacks.
+# The layout-equivalence gate: tiled solves (the default) must be
+# bit-identical to the COO reference — factors, RMSE trace, delta trace —
+# through the exact tier, the sketched tier, and streaming warm re-solves,
+# and unknown layout names (--layout flag or DISTENC_LAYOUT env) must
+# surface as typed errors, never fallbacks.
 # Both thread counts: tile partitioning, like COO blocking, must be
 # bit-invisible. The pass-count gate below separately proves the tiled
 # sweep is still one traversal per kernel (N sweeps per fused iteration).
@@ -99,7 +99,8 @@ cargo test -q --features alloc-count --test alloc_budget -- --test-threads=1
 echo "==> cargo test -q --features pass-count --test pass_count"
 cargo test -q --features pass-count --test pass_count
 
-echo "==> cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -- -D warnings
+# Lint every target (tests, benches, examples), not just the libraries.
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> ci.sh OK"

@@ -25,7 +25,7 @@ use distenc_dataflow::cluster::TaskCost;
 use distenc_dataflow::{Cluster, ClusterConfig};
 use distenc_linalg::{Cholesky, Mat};
 use distenc_tensor::mttkrp::gram_product;
-use distenc_tensor::residual::{completed_mttkrp_with_gram, residual_into};
+use distenc_tensor::residual::{completed_mttkrp, residual};
 use distenc_tensor::{CooTensor, KruskalTensor};
 use std::time::Instant;
 
@@ -97,7 +97,7 @@ impl<'c> AlsSolver<'c> {
 
         let mut model = KruskalTensor::random(&shape, rank, self.cfg.seed);
         let mut grams: Vec<Mat> = model.factors().iter().map(Mat::gram).collect();
-        let mut e = distenc_tensor::residual::residual(observed, &model)?;
+        let mut e = residual(observed, &model)?;
 
         let mut trace = ConvergenceTrace::new();
         let mut converged = false;
@@ -108,11 +108,7 @@ impl<'c> AlsSolver<'c> {
             let mut delta = 0.0_f64;
             for n in 0..n_modes {
                 let mut f = gram_product(&grams, n)?;
-                // Reuse the Gram product already in hand for the normal
-                // equations instead of recomputing it inside the MTTKRP
-                // (bit-identical: F is a deterministic function of the
-                // Grams).
-                let h = completed_mttkrp_with_gram(&e, &model, &f, n)?;
+                let h = completed_mttkrp(&e, &model, &f, n)?;
                 f.add_diag(self.cfg.lambda);
                 let a_new = Cholesky::factor(&f)?.solve_right(&h)?;
                 delta = delta.max(model.factors()[n].frob_dist(&a_new)?);
@@ -120,7 +116,7 @@ impl<'c> AlsSolver<'c> {
                 grams[n] = model.factors()[n].gram();
                 // Gauss-Seidel: the residual must track the freshest
                 // factors so the next mode's identity holds.
-                residual_into(observed, &model, &mut e)?;
+                e = residual(observed, &model)?;
             }
             if let Some(cl) = self.cluster {
                 self.charge_epoch(cl, observed, &shape)?;

@@ -24,7 +24,7 @@ use distenc_dataflow::{Cluster, ClusterConfig};
 use distenc_graph::SparseSym;
 use distenc_linalg::{Cholesky, Mat};
 use distenc_tensor::mttkrp::gram_product;
-use distenc_tensor::residual::{completed_mttkrp, residual, residual_into};
+use distenc_tensor::residual::{completed_mttkrp, residual};
 use distenc_tensor::{CooTensor, KruskalTensor};
 use std::time::Instant;
 
@@ -130,7 +130,7 @@ impl<'c> ScoutSolver<'c> {
             let mut delta = 0.0_f64;
             for n in 0..shape.len() {
                 let mut f = gram_product(&grams, n)?;
-                let mut h = completed_mttkrp(&e, &model, &grams, n)?;
+                let mut h = completed_mttkrp(&e, &model, &f, n)?;
                 if let (Some(s), Some(d)) = (similarities[n], coupled[n].as_ref()) {
                     // Coupled contribution: + βS D on the left, + βDᵀD in
                     // the system.
@@ -142,7 +142,7 @@ impl<'c> ScoutSolver<'c> {
                 delta = delta.max(model.factors()[n].frob_dist(&a_new)?);
                 model.set_factor(n, a_new)?;
                 grams[n] = model.factors()[n].gram();
-                residual_into(observed, &model, &mut e)?;
+                e = residual(observed, &model)?;
 
                 // D-update for coupled modes.
                 if let Some(s) = similarities[n] {

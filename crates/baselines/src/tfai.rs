@@ -27,7 +27,7 @@ use distenc_dataflow::ClusterConfig;
 use distenc_graph::{Laplacian, TruncatedLaplacian};
 use distenc_linalg::{Cholesky, Mat};
 use distenc_tensor::mttkrp::gram_product;
-use distenc_tensor::residual::{completed_mttkrp, residual, residual_into};
+use distenc_tensor::residual::{completed_mttkrp, residual};
 use distenc_tensor::{CooTensor, KruskalTensor};
 use std::time::Instant;
 
@@ -123,12 +123,12 @@ impl TfaiSolver {
             let mut delta = 0.0_f64;
             for n in 0..shape.len() {
                 let f = gram_product(&grams, n)?;
-                let h = completed_mttkrp(&e, &model, &grams, n)?;
+                let h = completed_mttkrp(&e, &model, &f, n)?;
                 let a_new = sylvester_solve(&truncated[n], self.cfg.alpha, self.cfg.lambda, &f, &h)?;
                 delta = delta.max(model.factors()[n].frob_dist(&a_new)?);
                 model.set_factor(n, a_new)?;
                 grams[n] = model.factors()[n].gram();
-                residual_into(observed, &model, &mut e)?; // Gauss-Seidel
+                e = residual(observed, &model)?; // Gauss-Seidel
             }
             let train_rmse = (e.frob_norm_sq() / observed.nnz() as f64).sqrt();
             trace.push(TracePoint {

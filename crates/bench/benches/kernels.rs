@@ -3,13 +3,14 @@
 //! Cholesky solves, and the Laplacian eigensolvers.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use distenc_dataflow::{ExecMode, Executor};
 use distenc_graph::builders::{community_blocks, tridiagonal_chain};
 use distenc_graph::Laplacian;
 use distenc_linalg::{Cholesky, Mat};
 use distenc_tensor::khatri_rao::khatri_rao;
 use distenc_tensor::mttkrp::{gram_product, mttkrp};
 use distenc_tensor::residual::{completed_mttkrp, residual};
-use distenc_tensor::{CooTensor, KruskalTensor};
+use distenc_tensor::{CooTensor, KruskalTensor, LayoutKind, TensorLayout};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -25,32 +26,29 @@ fn random_coo(shape: &[usize], nnz: usize, seed: u64) -> CooTensor {
 }
 
 fn bench_mttkrp(c: &mut Criterion) {
-    let shape = [500usize, 400, 300];
-    let x = random_coo(&shape, 50_000, 1);
-    let model = KruskalTensor::random(&shape, 10, 2);
-    c.bench_function("mttkrp_coo_50k_r10", |b| {
-        b.iter(|| mttkrp(black_box(&x), model.factors(), 0).unwrap())
-    });
-    // CSF (§III-C's fiber layout): shared fibers amortize the Hadamard
-    // products; the denser the fibers, the bigger the win.
-    let csf = distenc_tensor::CsfTensor::for_mode(&x, 0).unwrap();
-    c.bench_function("mttkrp_csf_50k_r10", |b| {
-        b.iter(|| csf.mttkrp_root(model.factors()).unwrap())
-    });
-    // Fiber-dense case: few distinct (i, j) prefixes.
-    let dense_fibers = random_coo(&[50, 50, 300], 50_000, 2);
-    let coo_df = dense_fibers.clone();
-    let csf_df = distenc_tensor::CsfTensor::for_mode(&dense_fibers, 0).unwrap();
-    let model_df = KruskalTensor::random(&[50, 50, 300], 10, 3);
-    c.bench_function("mttkrp_coo_fiberdense_50k_r10", |b| {
-        b.iter(|| mttkrp(black_box(&coo_df), model_df.factors(), 0).unwrap())
-    });
-    c.bench_function("mttkrp_csf_fiberdense_50k_r10", |b| {
-        b.iter(|| csf_df.mttkrp_root(model_df.factors()).unwrap())
-    });
-    c.bench_function("csf_build_50k", |b| {
-        b.iter(|| distenc_tensor::CsfTensor::for_mode(black_box(&x), 0).unwrap())
-    });
+    let exec = Executor::new(ExecMode::Sequential);
+    // Uniform support, then a fiber-dense one (few distinct (i, j)
+    // prefixes): the naive reference kernel against the production tiled
+    // layout on each.
+    for (label, shape, seed) in
+        [("50k", [500usize, 400, 300], 1), ("fiberdense_50k", [50, 50, 300], 2)]
+    {
+        let x = random_coo(&shape, 50_000, seed);
+        let model = KruskalTensor::random(&shape, 10, seed + 1);
+        c.bench_function(&format!("mttkrp_coo_{label}_r10"), |b| {
+            b.iter(|| mttkrp(black_box(&x), model.factors(), 0).unwrap())
+        });
+        let tiled = TensorLayout::build(x.clone(), LayoutKind::Tiled).unwrap();
+        let mut lw = tiled.workspace(10, &[], &exec).unwrap();
+        let mut h = Mat::zeros(shape[0], 10);
+        c.bench_function(&format!("mttkrp_tiled_{label}_r10"), |b| {
+            b.iter(|| {
+                tiled
+                    .mttkrp_into(black_box(model.factors()), 0, &mut lw, &exec, &mut h)
+                    .unwrap()
+            })
+        });
+    }
 }
 
 fn bench_gram_product(c: &mut Criterion) {
@@ -73,8 +71,9 @@ fn bench_residual(c: &mut Criterion) {
     });
     let e = residual(&x, &model).unwrap();
     let grams: Vec<Mat> = model.factors().iter().map(Mat::gram).collect();
+    let f = gram_product(&grams, 0).unwrap();
     c.bench_function("completed_mttkrp_50k_r10", |b| {
-        b.iter(|| completed_mttkrp(black_box(&e), &model, &grams, 0).unwrap())
+        b.iter(|| completed_mttkrp(black_box(&e), &model, &f, 0).unwrap())
     });
 }
 

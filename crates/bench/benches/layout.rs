@@ -1,16 +1,17 @@
 //! Layout benchmark: per-sweep kernel throughput of the residual
-//! storage layouts (`coo`, `csf`, `tiled`) on the `fused` bench
-//! workload, plus the one-time cost of the layout pass itself.
+//! storage layouts (`coo`, the reference, and `tiled`, the default) on
+//! the `fused` bench workload, plus the one-time cost of the tiling pass.
 //!
 //! Writes `BENCH_layout.json` at the repository root. Two kernel rows
 //! per (threads, rank) cell:
 //!
 //! * `mttkrp_ns` — one plain MTTKRP sweep (averaged over the three
 //!   modes, the steady-state shape of Algorithm 1 lines 8–12),
-//! * `fused_ns` — one fused refresh+MTTKRP sweep (recompute `E`, fold
-//!   `‖E‖²_F`, bank `H₀`, all in one traversal).
+//! * `fused_ns` — one refresh+MTTKRP step (recompute `E`, fold
+//!   `‖E‖²_F`, bank `H₀`): one fused traversal for tiled, the unfused
+//!   refresh-then-MTTKRP pair for COO.
 //!
-//! The layout pass (counting-sort tiling, CSF tree construction) is a
+//! The layout pass (the counting-sort tiling) is a
 //! *setup* cost paid once per support, never per iteration, so it is
 //! reported separately (`layout_pass`) rather than folded into the
 //! per-sweep numbers — amortization is the caller's call (a solve runs
@@ -28,7 +29,7 @@ const SHAPE: [usize; 3] = [120, 100, 80];
 const NNZ: usize = 60_000;
 const RANKS: [usize; 2] = [8, 16];
 const THREADS: [usize; 2] = [1, 4];
-const LAYOUTS: [LayoutKind; 3] = [LayoutKind::Coo, LayoutKind::Csf, LayoutKind::Tiled];
+const LAYOUTS: [LayoutKind; 2] = [LayoutKind::Coo, LayoutKind::Tiled];
 const REPS: usize = 25;
 
 fn workload(rank: usize) -> CooTensor {
@@ -76,14 +77,12 @@ fn sweep_ns(x: &CooTensor, kind: LayoutKind, rank: usize, threads: usize) -> (u6
     let mut h: Vec<Mat> = SHAPE.iter().map(|&d| Mat::zeros(d, rank)).collect();
 
     // Warm up caches, pools, and code paths.
-    for mode in 0..SHAPE.len() {
-        layout.mttkrp_into(model.factors(), mode, &mut lw, &exec, &mut h[mode]).unwrap();
+    for (mode, hm) in h.iter_mut().enumerate() {
+        layout.mttkrp_into(model.factors(), mode, &mut lw, &exec, hm).unwrap();
     }
     let mttkrp = median_ns(REPS, || {
-        for mode in 0..SHAPE.len() {
-            layout
-                .mttkrp_into(black_box(model.factors()), mode, &mut lw, &exec, &mut h[mode])
-                .unwrap();
+        for (mode, hm) in h.iter_mut().enumerate() {
+            layout.mttkrp_into(black_box(model.factors()), mode, &mut lw, &exec, hm).unwrap();
         }
     }) / SHAPE.len() as u64;
 
@@ -97,8 +96,8 @@ fn sweep_ns(x: &CooTensor, kind: LayoutKind, rank: usize, threads: usize) -> (u6
     (mttkrp, fused)
 }
 
-/// ns to run the layout pass (tile ordering / CSF trees) on a fresh
-/// support — the `e.clone()` feedstock is prepared outside the timer.
+/// ns to run the layout pass (tile ordering) on a fresh support — the
+/// `e.clone()` feedstock is prepared outside the timer.
 fn layout_pass_ns(x: &CooTensor, kind: LayoutKind) -> u64 {
     let mut samples: Vec<u64> = (0..REPS)
         .map(|_| {
@@ -161,21 +160,16 @@ fn emit_json(_c: &mut Criterion) {
     }
 
     let x = workload(16);
-    let pass_rows: Vec<String> = [LayoutKind::Csf, LayoutKind::Tiled]
-        .iter()
-        .map(|&kind| {
-            let ns = layout_pass_ns(&x, kind);
-            format!(
-                "    \"{kind}\": {{ \"build_ns\": {ns}, \"ns_per_nnz\": {:.2} }}",
-                ns as f64 / NNZ as f64
-            )
-        })
-        .collect();
+    let ns = layout_pass_ns(&x, LayoutKind::Tiled);
+    let pass_row = format!(
+        "    \"tiled\": {{ \"build_ns\": {ns}, \"ns_per_nnz\": {:.2} }}",
+        ns as f64 / NNZ as f64
+    );
 
     let json = format!(
-        "{{\n  \"workload\": {{ \"shape\": {SHAPE:?}, \"nnz\": {NNZ}, \"ranks\": {RANKS:?} }},\n  \"sweeps\": {{\n{}\n  }},\n  \"layout_pass\": {{\n{}\n  }},\n  \"note\": \"mttkrp_ns = one plain MTTKRP sweep (median over {REPS}, averaged over the 3 modes); fused_ns = one fused refresh+MTTKRP sweep; ratios are coo/tiled speedups (>1 = tiled faster); layout_pass is the one-time per-support setup (tile counting sort, CSF trees), amortized over N*max_iters sweeps in a solve and reported separately; coo and tiled results are bit-identical, csf matches to ~1e-9\"\n}}\n",
+        "{{\n  \"workload\": {{ \"shape\": {SHAPE:?}, \"nnz\": {NNZ}, \"ranks\": {RANKS:?} }},\n  \"sweeps\": {{\n{}\n  }},\n  \"layout_pass\": {{\n{}\n  }},\n  \"note\": \"mttkrp_ns = one plain MTTKRP sweep (median over {REPS}, averaged over the 3 modes); fused_ns = one refresh+MTTKRP step (one fused sweep for tiled, refresh then MTTKRP for coo); ratios are coo/tiled speedups (>1 = tiled faster); layout_pass is the one-time per-support setup (tile counting sort), amortized over N*max_iters sweeps in a solve and reported separately; coo and tiled results are bit-identical\"\n}}\n",
         cells.join(",\n"),
-        pass_rows.join(",\n"),
+        pass_row,
     );
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let path = root.join("BENCH_layout.json");

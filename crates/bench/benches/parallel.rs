@@ -1,5 +1,6 @@
-//! Thread-scaling benchmarks of the ADMM hot path: blocked MTTKRP, the
-//! residual refresh, and a full one-iteration solve at 1/2/4/8 threads.
+//! Thread-scaling benchmarks of the ADMM hot path: the blocked COO
+//! MTTKRP, the residual refresh, and a full one-iteration solve at
+//! 1/2/4/8 threads.
 //!
 //! Besides the criterion timings, the run writes `BENCH_parallel.json`
 //! at the repository root with the measured medians and the host's
@@ -11,9 +12,10 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use distenc_core::{AdmmConfig, AdmmSolver};
 use distenc_dataflow::{ExecMode, Executor};
+use distenc_linalg::Mat;
 use distenc_partition::greedy_boundaries;
-use distenc_tensor::mttkrp::mttkrp_blocked;
-use distenc_tensor::residual::residual_into_exec;
+use distenc_tensor::mttkrp::{mttkrp_blocked_into, MttkrpWorkspace};
+use distenc_tensor::residual::{residual_refresh_exec, ResidualWorkspace};
 use distenc_tensor::{CooTensor, KruskalTensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -39,16 +41,25 @@ fn executor(n: usize) -> Executor {
     Executor::new(if n >= 2 { ExecMode::Threads(n) } else { ExecMode::Sequential })
 }
 
+/// Mode-0 blocked-MTTKRP workspace over the Algorithm 2 boundaries for
+/// `exec`, plus its output buffer.
+fn mttkrp_mode0(x: &CooTensor, exec: &Executor) -> (MttkrpWorkspace, Mat) {
+    let cuts = greedy_boundaries(&x.slice_nnz(0), exec.parallelism());
+    let ws = MttkrpWorkspace::new(x, 0, &cuts, RANK).unwrap();
+    (ws, Mat::zeros(SHAPE[0], RANK))
+}
+
 fn bench_mttkrp_threads(c: &mut Criterion) {
     let x = random_coo(3);
     let model = KruskalTensor::random(&SHAPE, RANK, 5);
     let mut g = c.benchmark_group("mttkrp_mode0_120k_nnz");
     for n in THREADS {
         let exec = executor(n);
-        let cuts = greedy_boundaries(&x.slice_nnz(0), exec.parallelism());
+        let (mut ws, mut h) = mttkrp_mode0(&x, &exec);
         g.bench_function(&format!("threads_{n}"), |b| {
             b.iter(|| {
-                mttkrp_blocked(black_box(&x), model.factors(), 0, &cuts, &exec).unwrap()
+                mttkrp_blocked_into(black_box(&x), model.factors(), &mut ws, &exec, &mut h)
+                    .unwrap()
             })
         });
     }
@@ -62,8 +73,11 @@ fn bench_residual_threads(c: &mut Criterion) {
     for n in THREADS {
         let exec = executor(n);
         let mut e = x.clone();
+        let mut ws = ResidualWorkspace::new(x.nnz(), &exec);
         g.bench_function(&format!("threads_{n}"), |b| {
-            b.iter(|| residual_into_exec(black_box(&x), &model, &mut e, &exec).unwrap())
+            b.iter(|| {
+                residual_refresh_exec(black_box(&x), &model, &mut e, &mut ws, &exec).unwrap()
+            })
         });
     }
     g.finish();
@@ -117,11 +131,11 @@ fn emit_json(_c: &mut Criterion) {
     let mut admm_ns = Vec::new();
     for n in THREADS {
         let exec = executor(n);
-        let cuts = greedy_boundaries(&x.slice_nnz(0), exec.parallelism());
+        let (mut ws, mut h) = mttkrp_mode0(&x, &exec);
         mttkrp_ns.push((
             n,
             median_ns(7, || {
-                mttkrp_blocked(&x, model.factors(), 0, &cuts, &exec).unwrap();
+                mttkrp_blocked_into(&x, model.factors(), &mut ws, &exec, &mut h).unwrap();
             }),
         ));
         admm_ns.push((n, median_ns(3, || solve_once(&x, n))));

@@ -192,9 +192,8 @@ impl AdmmSolver {
         let cfg = AdmmConfig {
             exec: self.cfg.exec,
             checkpoint: self.cfg.checkpoint.clone(),
-            // Like `exec`, the layout override is an environment knob of
-            // *this* invocation (the checkpoint stores `use_csf`, so a
-            // legacy-selected CSF run resumes onto CSF by default).
+            // Like `exec`, the layout is an environment knob of *this*
+            // invocation: every layout resumes bit-identically.
             layout: self.cfg.layout,
             ..ckpt.config.clone()
         };
@@ -277,11 +276,10 @@ impl solver::CheckpointSink for FileSink<'_> {
 /// returned alongside it — [`solver::run`] leaves them that way (the last
 /// iteration's residual refresh runs *after* the final factor swap), and
 /// the streaming delta apply keeps them that way when the observation set
-/// changes. `accel` carries the layout's acceleration structure (CSF
-/// fiber trees, tiled entry orders); its *structure* is reusable as long
-/// as the support is unchanged (values are re-scattered at the next
-/// solve), and the streaming layer clears it on structural deltas so the
-/// next solve rebuilds.
+/// changes. `accel` carries the layout's acceleration structure (the
+/// tiled entry orders); it is reusable as long as the support is
+/// unchanged, and the streaming layer clears it on structural deltas so
+/// the next solve rebuilds.
 #[derive(Debug, Clone)]
 pub struct ResidualHandoff {
     /// Residual values on the observed support, in entry order.
@@ -317,6 +315,12 @@ pub(crate) fn validate_problem(
     }
     if observed.nnz() == 0 {
         return Err(CoreError::Invalid("observed tensor has no entries".into()));
+    }
+    // Construction rejects non-finite values; this catches ones written
+    // in place afterwards (`values_mut`), before any kernel sees them.
+    if let Some(pos) = observed.values().iter().position(|v| !v.is_finite()) {
+        let (index, value) = (observed.index(pos).to_vec(), observed.value(pos));
+        return Err(distenc_tensor::TensorError::NonFinite { index, value }.into());
     }
     let _ = cfg;
     Ok(())
@@ -383,8 +387,8 @@ pub(crate) fn solve_with_handoff(
 }
 
 /// Shared host-side setup: the executor, the Algorithm 2 greedy MTTKRP
-/// boundaries, and the residual store (carried or rebuilt) with its
-/// optional CSF trees. Used by both the exact path and the sketch phase
+/// boundaries, and the residual store (carried or rebuilt) in its
+/// layout. Used by both the exact path and the sketch phase
 /// so a tier switch never changes how the problem is laid out.
 ///
 /// The per-mode boundaries are computed once — the support never changes
@@ -398,7 +402,7 @@ pub(crate) fn solve_with_handoff(
 /// stale (they still hold `T`'s) and the solver refreshes them before
 /// anything reads them. Warm: the carried values are already fresh for
 /// the warm-start model and the prologue is skipped. The carried layout
-/// acceleration structure (CSF trees, tiled orders) is reused when it
+/// acceleration structure (tiled orders) is reused when it
 /// still matches the support; otherwise the layout rebuilds it.
 fn build_host_layout(
     observed: &CooTensor,
@@ -766,27 +770,6 @@ mod tests {
         assert!(solver.solve_from(&observed, &[None, None, None], &wrong_rank).is_err());
         let wrong_shape = KruskalTensor::random(&[8, 8, 9], 2, 1);
         assert!(solver.solve_from(&observed, &[None, None, None], &wrong_shape).is_err());
-    }
-
-    #[test]
-    fn csf_path_matches_coo_path_exactly() {
-        // The CSF MTTKRP is an exact reorganization of the COO kernel:
-        // only floating-point association differs, so iterates match to
-        // rounding.
-        let (observed, _) = planted(&[14, 11, 9], 3, 600, 31);
-        let base = AdmmConfig { rank: 3, max_iters: 12, tol: 1e-12, ..Default::default() };
-        let coo_run = AdmmSolver::new(base.clone())
-            .unwrap()
-            .solve(&observed, &[None, None, None])
-            .unwrap();
-        let csf_run = AdmmSolver::new(AdmmConfig { use_csf: true, ..base })
-            .unwrap()
-            .solve(&observed, &[None, None, None])
-            .unwrap();
-        assert_eq!(coo_run.iterations, csf_run.iterations);
-        for (a, b) in coo_run.model.factors().iter().zip(csf_run.model.factors()) {
-            assert!(a.frob_dist(b).unwrap() < 1e-9);
-        }
     }
 
     #[test]

@@ -158,21 +158,15 @@ pub struct AdmmConfig {
     /// greedy balancing by default; the equal-width baseline exists for
     /// the load-balancing ablation).
     pub partition: distenc_partition::PartitionStrategy,
-    /// Use the compressed-sparse-fiber MTTKRP (§III-C's SPLATT layout) in
-    /// the serial solver instead of the COO kernel. Identical results;
-    /// faster on fiber-dense tensors (the `kernels` bench quantifies it).
-    /// Superseded by [`AdmmConfig::layout`]: this legacy switch only
-    /// matters when `layout` is `None` and `DISTENC_LAYOUT` is unset.
-    pub use_csf: bool,
     /// Which storage layout the host solver keeps the residual tensor in
-    /// (see [`distenc_tensor::LayoutKind`]): flat COO, CSF fiber trees,
-    /// or the cache-blocked tiled layout. `None` (the default) resolves
-    /// at solve time with precedence **config > CLI > env**: the
-    /// `--layout` CLI flag writes this field, the `DISTENC_LAYOUT`
-    /// environment variable is consulted next (unknown names are typed
-    /// errors, never silent fallbacks), and finally the legacy
-    /// [`AdmmConfig::use_csf`] mapping applies (`true` → CSF, `false` →
-    /// COO). See [`AdmmConfig::resolved_layout`].
+    /// (see [`distenc_tensor::LayoutKind`]): the cache-blocked tiled
+    /// layout or the flat COO reference, bit-identical to each other.
+    /// `None` (the default) resolves at solve time with precedence
+    /// **config > CLI > env**: the `--layout` CLI flag writes this field,
+    /// the `DISTENC_LAYOUT` environment variable is consulted next
+    /// (unknown names are typed errors, never silent fallbacks), and
+    /// finally the tiled default applies. See
+    /// [`AdmmConfig::resolved_layout`].
     pub layout: Option<distenc_tensor::LayoutKind>,
     /// Host execution backend for the solver's per-iteration kernels
     /// (MTTKRP, residual). Bit-identical results under every setting —
@@ -211,7 +205,6 @@ impl Default for AdmmConfig {
             seed: 42,
             nonneg: false,
             partition: distenc_partition::PartitionStrategy::Greedy,
-            use_csf: false,
             layout: None,
             exec: distenc_dataflow::ExecMode::default(),
             fused: true,
@@ -303,8 +296,10 @@ impl AdmmConfig {
     /// `DISTENC_LAYOUT` environment variable (an unknown name is a typed
     /// error, consistent with `--layout` parsing and unlike
     /// `DISTENC_TIER`'s silent fallback — a typo must not silently
-    /// change which kernels run), else the legacy [`AdmmConfig::use_csf`]
-    /// mapping.
+    /// change which kernels run), else [`LayoutKind::Tiled`], the
+    /// production default.
+    ///
+    /// [`LayoutKind::Tiled`]: distenc_tensor::LayoutKind::Tiled
     pub fn resolved_layout(
         &self,
     ) -> std::result::Result<distenc_tensor::LayoutKind, String> {
@@ -313,8 +308,7 @@ impl AdmmConfig {
             return Ok(kind);
         }
         match LayoutKind::from_env() {
-            Ok(Some(kind)) => Ok(kind),
-            Ok(None) => Ok(if self.use_csf { LayoutKind::Csf } else { LayoutKind::Coo }),
+            Ok(kind) => Ok(kind.unwrap_or(LayoutKind::Tiled)),
             Err(e) => Err(e.to_string()),
         }
     }
@@ -416,16 +410,16 @@ mod tests {
     }
 
     #[test]
-    fn explicit_layout_beats_use_csf() {
+    fn explicit_layout_beats_env() {
         // Env-independent precedence check: an explicit config layout
-        // wins over the legacy flag regardless of DISTENC_LAYOUT (the
-        // env and use_csf fallback cases live in
-        // tests/layout_equivalence.rs, which owns the variable).
+        // wins regardless of DISTENC_LAYOUT (the env and default cases
+        // live in tests/layout_equivalence.rs, which owns the variable).
         use distenc_tensor::LayoutKind;
-        let c = AdmmConfig { use_csf: true, ..Default::default() }
-            .with_layout(LayoutKind::Tiled);
-        assert_eq!(c.resolved_layout().unwrap(), LayoutKind::Tiled);
-        assert!(c.validate().is_ok());
+        for kind in [LayoutKind::Coo, LayoutKind::Tiled] {
+            let c = AdmmConfig::default().with_layout(kind);
+            assert_eq!(c.resolved_layout().unwrap(), kind);
+            assert!(c.validate().is_ok());
+        }
     }
 
     #[test]

@@ -87,6 +87,17 @@ pub enum CoreError {
     Dataflow(distenc_dataflow::DataflowError),
     /// A checkpoint could not be written, read, or validated.
     Checkpoint(solver::checkpoint::CheckpointError),
+    /// The iteration produced a non-finite train RMSE or factor delta.
+    Diverged {
+        /// Zero-based iteration at which the non-finite value appeared.
+        iter: usize,
+        /// Train RMSE of that iteration (NaN when the factor delta broke
+        /// first and the RMSE was never computed).
+        train_rmse: f64,
+        /// Factor delta of that iteration (the offending mode's value
+        /// when the delta broke first).
+        factor_delta: f64,
+    },
 }
 
 impl std::fmt::Display for CoreError {
@@ -97,6 +108,11 @@ impl std::fmt::Display for CoreError {
             CoreError::Tensor(e) => write!(f, "{e}"),
             CoreError::Dataflow(e) => write!(f, "{e}"),
             CoreError::Checkpoint(e) => write!(f, "{e}"),
+            CoreError::Diverged { iter, train_rmse, factor_delta } => write!(
+                f,
+                "solve diverged at iteration {iter}: train RMSE {train_rmse}, factor delta \
+                 {factor_delta}"
+            ),
         }
     }
 }

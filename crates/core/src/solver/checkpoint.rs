@@ -17,7 +17,7 @@
 //! config  rank u64 · λ α η₀ ρ η_max (f64 bits) · max_iters u64 ·
 //!         tol (f64 bits) · eigen_k u64 · seed u64 ·
 //!         nonneg u8 · partition u8 (0 = Greedy, 1 = EqualWidth) ·
-//!         use_csf u8 · fused u8
+//!         reserved u8 (always 0; a nonzero value is rejected) · fused u8
 //! shape   order u64, then one u64 per mode
 //! cursor  iters_done u64 · eta (f64 bits)
 //! factors per mode: rows u64 · cols u64 · rows×cols f64 bits
@@ -72,6 +72,10 @@ pub enum CheckpointError {
     /// A field holds a value no writer could have produced (e.g. a zero
     /// rank or mismatched factor shapes).
     Malformed(String),
+    /// The reserved layout byte is set: the snapshot comes from a solve
+    /// on the removed CSF layout. Resuming it on another layout would not
+    /// reproduce its bits, so it is refused rather than remapped.
+    RemovedCsfLayout,
 }
 
 impl std::fmt::Display for CheckpointError {
@@ -88,6 +92,11 @@ impl std::fmt::Display for CheckpointError {
             ),
             CheckpointError::Truncated => write!(f, "checkpoint file is truncated"),
             CheckpointError::Malformed(msg) => write!(f, "malformed checkpoint: {msg}"),
+            CheckpointError::RemovedCsfLayout => write!(
+                f,
+                "checkpoint was written by a CSF-layout solve; that layout is removed and \
+                 the solve cannot resume bit-exactly on another"
+            ),
         }
     }
 }
@@ -230,7 +239,7 @@ impl Checkpoint {
             PartitionStrategy::Greedy => 0,
             PartitionStrategy::EqualWidth => 1,
         });
-        w.u8(u8::from(c.use_csf));
+        w.u8(0); // reserved
         w.u8(u8::from(c.fused));
         w.u64(self.shape.len() as u64);
         for &d in &self.shape {
@@ -306,7 +315,9 @@ impl Checkpoint {
                 )))
             }
         };
-        let use_csf = r.u8()? != 0;
+        if r.u8()? != 0 {
+            return Err(CheckpointError::RemovedCsfLayout);
+        }
         let fused = r.u8()? != 0;
         let config = AdmmConfig {
             rank,
@@ -321,12 +332,9 @@ impl Checkpoint {
             seed,
             nonneg,
             partition,
-            use_csf,
-            // Not serialized: the layout override is an invocation-time
-            // knob like `exec`. `use_csf` above *is* stored, so a run
-            // whose CSF selection came from the legacy flag resumes onto
-            // the same layout; `resume()` re-applies the resuming
-            // solver's own `layout` on top.
+            // Not serialized: the layout is an invocation-time knob like
+            // `exec` (every layout resumes bit-identically); `resume()`
+            // applies the resuming solver's own `layout`.
             layout: None,
             // Environment fields: not serialized, reset to this host's
             // defaults (see the module docs).
@@ -448,7 +456,6 @@ mod tests {
         Checkpoint {
             config: AdmmConfig {
                 rank: 2,
-                use_csf: true,
                 partition: PartitionStrategy::EqualWidth,
                 ..AdmmConfig::default()
             },
@@ -484,10 +491,23 @@ mod tests {
         }
         assert_eq!(back.trace, ck.trace);
         assert_eq!(back.config.rank, 2);
-        assert!(back.config.use_csf);
         assert_eq!(back.config.partition, PartitionStrategy::EqualWidth);
         assert_eq!(back.config.solver_tier, SolverTier::Exact);
         assert_eq!(back.config.checkpoint, None);
+    }
+
+    #[test]
+    fn reserved_layout_byte_is_written_zero_and_rejected_when_set() {
+        // magic 4 · version 4 · rank 8 · five f64 40 · max_iters 8 · tol 8
+        // · eigen_k 8 · seed 8 · nonneg 1 · partition 1.
+        const RESERVED: usize = 90;
+        let mut bytes = sample().to_bytes();
+        assert_eq!(bytes[RESERVED], 0);
+        bytes[RESERVED] = 1;
+        let n = bytes.len() - 8;
+        let sum = fnv1a(&bytes[..n]);
+        bytes[n..].copy_from_slice(&sum.to_le_bytes());
+        assert_eq!(Checkpoint::from_bytes(&bytes), Err(CheckpointError::RemovedCsfLayout));
     }
 
     #[test]

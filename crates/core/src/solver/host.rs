@@ -2,8 +2,8 @@
 //! [`distenc_dataflow::Executor`], no accounting.
 //!
 //! All storage-dependent work goes through the residual's
-//! [`TensorLayout`] — this backend never inspects which layout (COO,
-//! CSF, or tiled) is in play; it sizes one [`LayoutWorkspace`] at
+//! [`TensorLayout`] — this backend never inspects which layout (tiled or
+//! COO) is in play; it sizes one [`LayoutWorkspace`] at
 //! construction and hands every kernel call to the layout's dispatch
 //! point. The steady state allocates nothing on the calling thread (the
 //! threaded executor hands work to its resident pool through an unboxed
@@ -14,10 +14,10 @@
 //! reduces `‖E‖²_F`, and precomputes the next iteration's mode-0 MTTKRP
 //! into the `h0` stash in one sweep over the nonzeros; the next
 //! [`StepBackend::sparse_mttkrp`] call for mode 0 serves the stash
-//! instead of sweeping again. Every fused kernel is bit-identical to the
-//! separate sweeps it replaces (`distenc_tensor::fused` and
-//! `distenc_tensor::layout` pin this), so the solver's iterates — and
-//! the golden traces — are unchanged.
+//! instead of sweeping again. The tiled layout's fused kernel is
+//! bit-identical to the separate sweeps it replaces (and COO simply runs
+//! them; `distenc_tensor::layout` pins both), so the solver's iterates —
+//! and the golden traces — are unchanged.
 
 use super::{ResidualStore, StepBackend};
 use crate::Result;
@@ -30,8 +30,8 @@ use distenc_tensor::{CooTensor, KruskalTensor, LayoutWorkspace, TensorLayout};
 /// even-chunked residual refresh, plain Grams, wall-clock trace stamps.
 pub(crate) struct HostBackend<C> {
     exec: Executor,
-    /// The layout's per-mode sweep workspace (buckets for COO, tile
-    /// partitions for tiled, nothing for CSF).
+    /// The layout's per-mode sweep workspace (tile partitions for tiled,
+    /// buckets for COO).
     lw: LayoutWorkspace,
     res: ResidualWorkspace,
     /// Fuse the residual refresh with the next mode-0 MTTKRP

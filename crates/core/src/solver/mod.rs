@@ -25,9 +25,8 @@
 //! on the calling thread — in sequential mode *and* in threaded mode,
 //! because the executor dispatches work to its resident pool through an
 //! unboxed index broadcast (`Pool::run_indexed`) rather than boxed jobs.
-//! Documented exemptions: the CSF tree walk (per-level recursion
-//! accumulators, `O(depth·R)`) and the distributed driver's accounting
-//! vectors (`TaskCost` / shuffle tallies / per-call reduction slabs —
+//! Documented exemption: the distributed driver's accounting vectors
+//! (`TaskCost` / shuffle tallies / per-call reduction slabs —
 //! bookkeeping, not step math). The `alloc-count` feature and
 //! `tests/alloc_budget.rs` enforce this.
 //!
@@ -37,8 +36,14 @@
 //! modes 1..N, plus one fused sweep ([`StepBackend::fused_step`]) that
 //! refreshes the residual, reduces `‖E‖²_F`, **and** precomputes the next
 //! iteration's mode-0 MTTKRP in a single pass. Unfused, the same
-//! iteration takes N+1 sweeps. The `pass-count` feature counts the sweeps
-//! and `tests/pass_count.rs` pins the N-vs-N+1 gap.
+//! iteration takes N+1 sweeps — as does the COO reference layout even
+//! when fused, since only the tiled layout has a fused kernel. The
+//! `pass-count` feature counts the sweeps and `tests/pass_count.rs` pins
+//! the N-vs-N+1 gap.
+//!
+//! **Divergence contract.** A non-finite train RMSE or factor delta ends
+//! the solve with [`CoreError::Diverged`] on every tier, instead of
+//! letting `max(NaN)` drop the NaN and report convergence.
 
 use crate::config::AdmmConfig;
 use crate::trace::{ConvergenceTrace, TracePoint};
@@ -64,7 +69,7 @@ pub(crate) use sketched::SketchedBackend;
 pub(crate) enum ResidualStore {
     /// The host drivers' residual behind the [`TensorLayout`] dispatch
     /// point: the entry list plus whatever acceleration structure the
-    /// selected layout (COO / CSF / tiled) carries. Backends reach it
+    /// selected layout (tiled / COO) carries. Backends reach it
     /// through [`ResidualStore::host`] and never match on the concrete
     /// storage — the layout owns kernel dispatch.
     Host(TensorLayout),
@@ -553,7 +558,13 @@ pub(crate) fn run_resumable<B: StepBackend>(
         // allocates nothing.
         let mut delta = 0.0_f64;
         for n in 0..n_modes {
-            delta = delta.max(st.model.factors()[n].frob_dist(&st.ws.modes[n].next)?);
+            let d = st.model.factors()[n].frob_dist(&st.ws.modes[n].next)?;
+            if !d.is_finite() {
+                // `max` would drop a NaN and let the solve "converge".
+                let err = CoreError::Diverged { iter: t, train_rmse: f64::NAN, factor_delta: d };
+                return Err(err);
+            }
+            delta = delta.max(d);
             std::mem::swap(&mut st.model.factors_mut()[n], &mut st.ws.modes[n].next);
             backend.refresh_gram(&st.model.factors()[n], n, &mut st.grams[n])?;
         }
@@ -565,6 +576,9 @@ pub(crate) fn run_resumable<B: StepBackend>(
         let fuse_next = t + 1 < cfg.max_iters && delta >= cfg.tol;
         let frob = backend.fused_step(observed, &st.model, &mut st.residual, fuse_next)?;
         let train_rmse = (frob / observed.nnz() as f64).sqrt();
+        if !train_rmse.is_finite() {
+            return Err(CoreError::Diverged { iter: t, train_rmse, factor_delta: delta });
+        }
         trace.push(TracePoint {
             iter: t,
             seconds: backend.clock(t),

@@ -167,8 +167,7 @@ impl<'t, C: Fn(usize) -> f64> StepBackend for SketchedBackend<'t, C> {
         residual: &mut ResidualStore,
     ) -> Result<()> {
         // The one exact kernel this backend runs — dispatched through the
-        // layout like the host backend's, so a sketched solve on a CSF or
-        // tiled layout keeps its acceleration structure in sync.
+        // layout like the host backend's.
         residual
             .host_mut()?
             .refresh_values(observed, model, &mut self.res, &self.exec)?;

@@ -11,10 +11,10 @@
 //!
 //! What counts as a sweep: one full traversal of the nonzero entry list
 //! that loads factor rows per entry (MTTKRP, residual evaluation, the
-//! fused refresh+MTTKRP kernel, CSF root walks). Values-only folds
-//! (`frob_norm_sq`, `CsfTensor::set_values`) touch no indices or factor
-//! rows — they are memory-bound on an `nnz`-length `f64` slice, not on
-//! the entry structure — and are deliberately not counted.
+//! tiled layout's fused refresh+MTTKRP kernel). Values-only folds
+//! (`frob_norm_sq`) touch no indices or factor rows — they are
+//! memory-bound on an `nnz`-length `f64` slice, not on the entry
+//! structure — and are deliberately not counted.
 //!
 //! Alongside sweeps, the instrument counts **entries touched**: how many
 //! entry records a kernel actually loaded factor rows for. For the exact

@@ -922,6 +922,12 @@ mod tests {
             let submitter = s.spawn(|| {
                 queue.submit_with_retry(Request::Point { index: vec![1, 1, 1] }, &policy)
             });
+            // Hold the slot until the submitter has been turned away at
+            // least once (nothing drains before then, so it must be);
+            // draining earlier could let its first attempt succeed.
+            while engine.snapshot().queue_rejections == 0 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
             // Drain until the retrying submission lands.
             while !submitter.is_finished() {
                 queue.drain_once();

@@ -29,6 +29,13 @@ pub enum StreamError {
         /// The coordinate that already exists.
         index: Vec<usize>,
     },
+    /// An insert or update carries a NaN or infinite value.
+    NonFinite {
+        /// The offending coordinate.
+        index: Vec<usize>,
+        /// The rejected value.
+        value: f64,
+    },
     /// Dimension growth on a mode that carries auxiliary similarity
     /// information: the Laplacian's row space cannot be grown
     /// incrementally, so the batch is refused rather than silently
@@ -58,6 +65,9 @@ impl std::fmt::Display for StreamError {
             }
             StreamError::AlreadyObserved { index } => {
                 write!(f, "insert targets already-observed cell {index:?}")
+            }
+            StreamError::NonFinite { index, value } => {
+                write!(f, "non-finite value {value} at coordinate {index:?}")
             }
             StreamError::GrowthWithAux { mode } => {
                 write!(
@@ -95,7 +105,7 @@ impl From<distenc_tensor::TensorError> for StreamError {
 ///
 /// Construction ([`DeltaBatch::try_new`]) checks everything checkable
 /// without the tensor itself: coordinate arity, bounds against the grown
-/// shape, and cross-batch duplicates. Observedness (updates must hit
+/// shape, finite values, and cross-batch duplicates. Observedness (updates must hit
 /// existing entries, inserts must not) is checked at apply time by
 /// [`crate::StreamingSolver::apply`], which rejects the whole batch
 /// before mutating anything.
@@ -131,7 +141,10 @@ impl DeltaBatch {
         }
         let new_shape: Vec<usize> =
             base_shape.iter().zip(growth).map(|(&d, &g)| d + g).collect();
-        for (idx, _) in inserts.iter().chain(&updates) {
+        for (idx, v) in inserts.iter().chain(&updates) {
+            if !v.is_finite() {
+                return Err(StreamError::NonFinite { index: idx.clone(), value: *v });
+            }
             if idx.len() != order {
                 return Err(StreamError::BadBatch(format!(
                     "coordinate {idx:?} has {} modes, tensor has {order}",
@@ -197,7 +210,7 @@ impl DeltaBatch {
 
     /// True when the batch changes the support or the shape (anything but
     /// pure value updates). Structural batches invalidate index-dependent
-    /// caches (CSF fiber trees); value-only batches do not.
+    /// caches (the tiled entry orders); value-only batches do not.
     pub fn is_structural(&self) -> bool {
         !self.inserts.is_empty() || self.growth.iter().any(|&g| g > 0)
     }
@@ -261,6 +274,18 @@ mod tests {
         let err = DeltaBatch::try_new(&[4, 3], &[1, 0], vec![], vec![(vec![4, 0], 1.0)])
             .unwrap_err();
         assert_eq!(err, StreamError::UnobservedUpdate { index: vec![4, 0] });
+    }
+
+    #[test]
+    fn rejects_non_finite_values() {
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let err = DeltaBatch::try_new(&[4, 3], &[0, 0], vec![(vec![1, 1], v)], vec![])
+                .unwrap_err();
+            assert!(matches!(err, StreamError::NonFinite { ref index, .. } if *index == [1, 1]));
+            let err = DeltaBatch::try_new(&[4, 3], &[0, 0], vec![], vec![(vec![2, 0], v)])
+                .unwrap_err();
+            assert!(matches!(err, StreamError::NonFinite { ref index, .. } if *index == [2, 0]));
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! * [`DeltaBatch`] — a validated description of one change set: new
 //!   nonzeros, value updates to existing entries, and per-mode dimension
 //!   growth. Construction rejects out-of-range and duplicate coordinates
-//!   with typed [`StreamError`]s; nothing panics.
+//!   and non-finite values with typed [`StreamError`]s; nothing panics.
 //! * [`StreamingSolver`] — owns the evolving observed tensor, the current
 //!   model, and the solver's residual hand-off. Applying a batch folds it
 //!   into all three *incrementally* (`O(|Δ|·N·R)` model evaluations, one
@@ -19,8 +19,8 @@
 //! residual equals `Ω∗(T − [[model…]])` bit-for-bit on the new support, so
 //! a warm [`StreamingSolver::solve`] is bit-identical to
 //! [`distenc_core::AdmmSolver::solve_from`] on the final tensor — only
-//! faster, because the residual (and, for value-only deltas, the CSF fiber
-//! trees) skip their `O(nnz)` rebuild.
+//! faster, because the residual (and, for value-only deltas, the tiled
+//! entry orders) skip their `O(nnz)` rebuild.
 
 #![warn(missing_docs)]
 

@@ -194,9 +194,8 @@ impl StreamingSolver {
             }
         }
         if batch.is_structural() {
-            // The support (or shape) changed: the carried layout
-            // acceleration structures (CSF fiber trees, tiled entry
-            // orders) no longer describe it. Drop them; the next solve
+            // The support (or shape) changed: the carried tiled entry
+            // orders no longer describe it. Drop them; the next solve
             // rebuilds.
             if let Some(c) = &mut self.carry {
                 c.accel.clear();

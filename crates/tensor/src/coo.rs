@@ -62,7 +62,9 @@ impl CooTensor {
         self.values.reserve(n);
     }
 
-    /// Append one non-zero entry.
+    /// Append one non-zero entry. Every constructor funnels through
+    /// here, so an out-of-bounds index or a NaN/infinite value is a typed
+    /// error at construction, never a poisoned solve later.
     pub fn push(&mut self, index: &[usize], value: f64) -> Result<()> {
         if index.len() != self.order()
             || index.iter().zip(&self.shape).any(|(&i, &d)| i >= d)
@@ -71,6 +73,9 @@ impl CooTensor {
                 index: index.to_vec(),
                 shape: self.shape.clone(),
             });
+        }
+        if !value.is_finite() {
+            return Err(TensorError::NonFinite { index: index.to_vec(), value });
         }
         self.indices.extend_from_slice(index);
         self.values.push(value);
@@ -107,12 +112,6 @@ impl CooTensor {
     #[inline]
     pub fn value(&self, e: usize) -> f64 {
         self.values[e]
-    }
-
-    /// Mutable value of entry `e`.
-    #[inline]
-    pub fn value_mut(&mut self, e: usize) -> &mut f64 {
-        &mut self.values[e]
     }
 
     /// All values.
@@ -372,6 +371,16 @@ mod tests {
             Err(TensorError::IndexOutOfBounds { .. })
         ));
         assert!(t.push(&[0, 0, 0], 1.0).is_err()); // wrong order
+    }
+
+    #[test]
+    fn non_finite_values_rejected() {
+        let mut t = CooTensor::new(vec![2, 2]);
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(matches!(t.push(&[1, 0], v), Err(TensorError::NonFinite { .. })));
+        }
+        assert_eq!(t.nnz(), 0, "a rejected entry must not be stored");
+        assert!(CooTensor::from_entries(vec![2], &[(&[0], f64::NAN)]).is_err());
     }
 
     #[test]

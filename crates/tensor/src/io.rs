@@ -31,7 +31,8 @@ pub fn write_coo_file<P: AsRef<Path>>(t: &CooTensor, path: P) -> std::io::Result
     write_coo(t, std::fs::File::create(path)?)
 }
 
-/// Parse a tensor from text.
+/// Parse a tensor from text. A `nan` or `inf` value is rejected with
+/// [`TensorError::NonFinite`], like every other malformed entry.
 pub fn read_coo<R: Read>(r: R) -> Result<CooTensor> {
     let reader = BufReader::new(r);
     let mut lines = reader.lines();
@@ -253,6 +254,17 @@ mod tests {
     #[test]
     fn out_of_bounds_entry_rejected() {
         assert!(read_coo("# shape: 2 2\n5 0 1.0\n".as_bytes()).is_err());
+    }
+
+    #[test]
+    fn non_finite_values_rejected() {
+        for v in ["nan", "NaN", "inf", "-inf", "infinity"] {
+            let text = format!("# shape: 2 2\n0 0 1.0\n1 1 {v}\n");
+            assert!(
+                matches!(read_coo(text.as_bytes()), Err(TensorError::NonFinite { .. })),
+                "{v} must be rejected"
+            );
+        }
     }
 
     #[test]

@@ -9,17 +9,17 @@
 //!   statistics (input to the greedy partitioner, Algorithm 2),
 //! * [`KruskalTensor`] — a CP factorization `[[A⁽¹⁾,…,A⁽ᴺ⁾]]`, evaluable at
 //!   individual indices in `O(R)`,
-//! * [`csf`] — SPLATT's compressed-sparse-fiber layout (§III-C cites it)
-//!   with a fiber-factorized MTTKRP,
-//! * [`mttkrp`] — the matricized-tensor-times-Khatri-Rao-product kernel and
-//!   the Gram-product identity `UᵀU = ⊛ₖ A⁽ᵏ⁾ᵀA⁽ᵏ⁾` (Eq. 12),
+//! * [`mttkrp`] — the matricized-tensor-times-Khatri-Rao-product kernel
+//!   (naive reference plus the blocked COO kernel) and the Gram-product
+//!   identity `UᵀU = ⊛ₖ A⁽ᵏ⁾ᵀA⁽ᵏ⁾` (Eq. 12),
 //! * [`khatri_rao`] — explicit (dense) Khatri-Rao / Kronecker products and
 //!   matricizations, used as small-scale oracles in tests,
 //! * [`residual`] — the sparse residual tensor `E = Ω∗(T − [[A…]])`
 //!   (Eq. 14) that keeps every iteration `O(nnz)`,
-//! * [`layout`] — the [`TensorLayout`] dispatch point that makes the
-//!   COO, CSF, and cache-blocked tiled storage layouts interchangeable
-//!   behind one surface,
+//! * [`layout`] — the [`TensorLayout`] dispatch point: the cache-blocked
+//!   tiled layout (the production default, with the only fused
+//!   refresh+MTTKRP kernel) and plain COO (the bit-exactness reference
+//!   the tiled kernels are gated against),
 //! * [`sample`] — deterministic norm-proportional entry sampling, the
 //!   randomization behind the sketched solver tier,
 //! * [`dense`] — a tiny dense tensor for test oracles,
@@ -30,9 +30,7 @@
 #![warn(missing_docs)]
 
 pub mod coo;
-pub mod csf;
 pub mod dense;
-pub mod fused;
 pub mod io;
 pub mod khatri_rao;
 pub mod layout;
@@ -44,7 +42,6 @@ pub mod split;
 pub mod ttm;
 
 pub use coo::CooTensor;
-pub use csf::CsfTensor;
 pub use dense::DenseTensor;
 pub use kruskal::KruskalTensor;
 pub use layout::{LayoutAccel, LayoutKind, LayoutWorkspace, TensorLayout, LAYOUT_ENV};
@@ -81,6 +78,15 @@ pub enum TensorError {
         /// What was wrong with it.
         reason: &'static str,
     },
+    /// A NaN or infinite value offered as a tensor entry. Observations
+    /// must be finite: one non-finite value poisons every factor it
+    /// touches.
+    NonFinite {
+        /// Index tuple of the offending entry.
+        index: Vec<usize>,
+        /// The rejected value.
+        value: f64,
+    },
     /// An unknown tensor-layout name (from `--layout` or
     /// `DISTENC_LAYOUT`); the payload is the rejected name.
     InvalidLayout(String),
@@ -98,8 +104,11 @@ impl std::fmt::Display for TensorError {
             TensorError::InvalidShape { shape, reason } => {
                 write!(f, "invalid tensor shape {shape:?}: {reason}")
             }
+            TensorError::NonFinite { index, value } => {
+                write!(f, "non-finite value {value} at index {index:?}")
+            }
             TensorError::InvalidLayout(name) => {
-                write!(f, "unknown tensor layout {name:?} (expected coo, csf, or tiled)")
+                write!(f, "unknown tensor layout {name:?} (expected coo or tiled)")
             }
             TensorError::Linalg(e) => write!(f, "linalg error: {e}"),
         }

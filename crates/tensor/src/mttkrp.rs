@@ -1,43 +1,14 @@
 //! MTTKRP — matricized tensor times Khatri-Rao product — and the Gram
 //! product, the two kernels §III-C builds DisTenC's factor update from.
 //!
-//! This module also owns the workspace's **rank-specialization dispatch
-//! point** ([`dispatch_rank`]): per-entry sweeps run a monomorphized body
-//! with `[f64; R]` stack scratch for R ∈ {8, 16} and a dynamic-rank body
-//! otherwise. Both bodies share one implementation
-//! ([`sweep_bucket_entries`]) so they execute the identical operation
-//! sequence — specialization changes compile-time knowledge (constant
-//! trip counts, stack scratch), never a single bit of the result. The
-//! fused kernels in [`crate::fused`] dispatch through the same point.
+//! [`mttkrp`] is the naive sequential reference; [`mttkrp_blocked_into`]
+//! is the COO reference layout's thread-blocked kernel. The production
+//! kernels live with the tiled layout in [`crate::layout`].
 
 use crate::coo::CooTensor;
 use crate::{Result, TensorError};
 use distenc_dataflow::Executor;
 use distenc_linalg::Mat;
-
-/// A kernel body that can run with a compile-time rank (`run_const`,
-/// `R` = the factor rank) or a runtime rank (`run_dyn`). Implementations
-/// must perform the identical operation sequence in both so dispatch is
-/// bit-invisible.
-pub(crate) trait RankKernel {
-    /// Result of the sweep.
-    type Out;
-    /// Monomorphized body; only called with `R` equal to the actual rank.
-    fn run_const<const R: usize>(self) -> Self::Out;
-    /// Fallback body for unspecialized ranks.
-    fn run_dyn(self) -> Self::Out;
-}
-
-/// The one rank-specialization dispatch point (see module docs). Shared
-/// by [`mttkrp_blocked_into`] and the fused kernels.
-#[inline]
-pub(crate) fn dispatch_rank<K: RankKernel>(rank: usize, kernel: K) -> K::Out {
-    match rank {
-        8 => kernel.run_const::<8>(),
-        16 => kernel.run_const::<16>(),
-        _ => kernel.run_dyn(),
-    }
-}
 
 /// Row-wise MTTKRP (Eq. 10/11): `H = X₍ₙ₎ U⁽ⁿ⁾` computed directly from COO
 /// entries without materializing `U⁽ⁿ⁾`:
@@ -67,84 +38,6 @@ pub fn mttkrp(x: &CooTensor, factors: &[Mat], mode: usize) -> Result<Mat> {
         for (o, &s) in out.iter_mut().zip(&scratch) {
             *o += s;
         }
-    }
-    Ok(h)
-}
-
-/// Block-parallel MTTKRP over mode-`mode` row ranges.
-///
-/// `boundaries` are Algorithm 2-style ascending cut points over the mode's
-/// index space: part `p` owns output rows `boundaries[p-1]..boundaries[p]`
-/// (part 0 starts at row 0), and the last boundary must equal the mode's
-/// dimension. Each part becomes one work unit on `exec`, accumulating into
-/// its own row slab — no atomics, no shared writes — and the slabs are
-/// copied into disjoint row ranges of `H` afterwards.
-///
-/// **Bit-exact for every blocking and every [`ExecMode`]**: bucketing the
-/// entries with a single forward scan preserves each bucket's original
-/// entry order, and a row of `H` is only ever touched by the one part that
-/// owns it, so every output row sums its contributions in exactly the
-/// order the sequential [`mttkrp`] uses.
-///
-/// [`ExecMode`]: distenc_dataflow::ExecMode
-pub fn mttkrp_blocked(
-    x: &CooTensor,
-    factors: &[Mat],
-    mode: usize,
-    boundaries: &[usize],
-    exec: &Executor,
-) -> Result<Mat> {
-    validate(x, factors, mode)?;
-    let dim = x.shape()[mode];
-    let ok = boundaries.last() == Some(&dim)
-        && boundaries.windows(2).all(|w| w[0] <= w[1]);
-    if !ok {
-        return Err(TensorError::ShapeMismatch(format!(
-            "boundaries {boundaries:?} do not cover mode-{mode} rows 0..{dim}"
-        )));
-    }
-    let r = factors[0].cols();
-    crate::record_entry_sweep(x.nnz());
-    // Bucket entry positions by owning part. The forward scan keeps each
-    // bucket in original entry order — the load-bearing step for
-    // bit-exactness (see above).
-    let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); boundaries.len()];
-    for pos in 0..x.nnz() {
-        let i = x.index(pos)[mode];
-        let part = boundaries.partition_point(|&b| b <= i);
-        buckets[part].push(pos);
-    }
-    let starts: Vec<usize> =
-        std::iter::once(0).chain(boundaries.iter().copied()).collect();
-    let slabs = exec.run(&buckets, |p, bucket| {
-        let lo = starts[p];
-        let mut slab = Mat::zeros(boundaries[p] - lo, r);
-        let mut scratch = vec![0.0; r];
-        for &pos in bucket {
-            let idx = x.index(pos);
-            let v = x.value(pos);
-            scratch.iter_mut().for_each(|s| *s = v);
-            for (k, f) in factors.iter().enumerate() {
-                if k == mode {
-                    continue;
-                }
-                let row = f.row(idx[k]);
-                for (s, &a) in scratch.iter_mut().zip(row) {
-                    *s *= a;
-                }
-            }
-            let out = slab.row_mut(idx[mode] - lo);
-            for (o, &s) in out.iter_mut().zip(&scratch) {
-                *o += s;
-            }
-        }
-        slab
-    });
-    // Stitch the slabs into disjoint row ranges, in fixed part order.
-    let mut h = Mat::zeros(dim, r);
-    for (&lo, slab) in starts.iter().zip(&slabs) {
-        h.as_mut_slice()[lo * r..(lo + slab.rows()) * r]
-            .copy_from_slice(slab.as_slice());
     }
     Ok(h)
 }
@@ -200,29 +93,31 @@ pub fn gram_product_into(grams: &[Mat], mode: usize, out: &mut Mat) -> Result<()
 /// fixed), one accumulation slab per part, and one `R`-vector scratch per
 /// part so a steady-state call allocates nothing.
 ///
+/// `boundaries` are Algorithm 2-style ascending cut points over the
+/// mode's index space: part `p` owns output rows
+/// `boundaries[p-1]..boundaries[p]` (part 0 starts at row 0), and the
+/// last boundary must equal the mode's dimension.
+///
 /// The workspace is bound to the `(support, mode, boundaries, rank)` it
 /// was built for; using it with a tensor whose entry positions differ
 /// from the construction-time tensor is a logic error (debug-asserted).
 pub struct MttkrpWorkspace {
-    pub(crate) mode: usize,
-    pub(crate) nnz: usize,
-    pub(crate) parts: Vec<MttkrpPart>,
+    mode: usize,
+    nnz: usize,
+    parts: Vec<MttkrpPart>,
 }
 
-pub(crate) struct MttkrpPart {
-    pub(crate) bucket: Vec<usize>,
-    pub(crate) lo: usize,
-    pub(crate) slab: Mat,
-    pub(crate) scratch: Vec<f64>,
-    /// Fresh residual values in bucket order, used only by the threaded
-    /// fused kernel (`crate::fused`) to carry per-entry results out of
-    /// the parallel region. Empty until the first fused call sizes it.
-    pub(crate) vals: Vec<f64>,
+struct MttkrpPart {
+    bucket: Vec<usize>,
+    lo: usize,
+    slab: Mat,
+    scratch: Vec<f64>,
 }
 
 impl MttkrpWorkspace {
     /// Bucket `x`'s entries for a mode-`mode` blocked MTTKRP at rank `r`.
-    /// Same validation and forward-scan bucketing as [`mttkrp_blocked`].
+    /// The forward scan keeps each bucket in original entry order — the
+    /// load-bearing step for bit-exactness (see [`mttkrp_blocked_into`]).
     pub fn new(x: &CooTensor, mode: usize, boundaries: &[usize], r: usize) -> Result<Self> {
         if mode >= x.order() {
             return Err(TensorError::ShapeMismatch(format!(
@@ -254,101 +149,26 @@ impl MttkrpWorkspace {
                 lo: starts[p],
                 slab: Mat::zeros(boundaries[p] - starts[p], r),
                 scratch: vec![0.0; r],
-                vals: Vec::new(),
             })
             .collect();
         Ok(MttkrpWorkspace { mode, nnz: x.nnz(), parts })
     }
-
-    /// The mode this workspace was bucketed for.
-    pub fn mode(&self) -> usize {
-        self.mode
-    }
 }
 
-/// The per-bucket accumulation loop shared by every rank variant of the
-/// blocked MTTKRP: exactly the loop of the allocating [`mttkrp_blocked`],
-/// with the scratch vector supplied by the caller (a `[f64; R]` stack
-/// array under [`dispatch_rank`] specialization, the workspace's heap
-/// vector otherwise). `#[inline(always)]` so the constant scratch length
-/// propagates into the loop trip counts.
-#[inline(always)]
-pub(crate) fn sweep_bucket_entries(
-    x: &CooTensor,
-    factors: &[Mat],
-    mode: usize,
-    bucket: &[usize],
-    lo: usize,
-    slab: &mut Mat,
-    scratch: &mut [f64],
-) {
-    slab.fill(0.0);
-    for &pos in bucket {
-        let idx = x.index(pos);
-        let v = x.value(pos);
-        scratch.iter_mut().for_each(|s| *s = v);
-        for (k, f) in factors.iter().enumerate() {
-            if k == mode {
-                continue;
-            }
-            let row = f.row(idx[k]);
-            for (s, &a) in scratch.iter_mut().zip(row) {
-                *s *= a;
-            }
-        }
-        let out = slab.row_mut(idx[mode] - lo);
-        for (o, &s) in out.iter_mut().zip(scratch.iter()) {
-            *o += s;
-        }
-    }
-}
-
-/// [`RankKernel`] adapter running [`sweep_bucket_entries`] over one
-/// workspace part.
-struct BucketSweep<'a> {
-    x: &'a CooTensor,
-    factors: &'a [Mat],
-    mode: usize,
-    part: &'a mut MttkrpPart,
-}
-
-impl RankKernel for BucketSweep<'_> {
-    type Out = ();
-
-    fn run_const<const R: usize>(self) {
-        debug_assert_eq!(self.part.scratch.len(), R);
-        let mut scratch = [0.0f64; R];
-        sweep_bucket_entries(
-            self.x,
-            self.factors,
-            self.mode,
-            &self.part.bucket,
-            self.part.lo,
-            &mut self.part.slab,
-            &mut scratch,
-        );
-    }
-
-    fn run_dyn(self) {
-        sweep_bucket_entries(
-            self.x,
-            self.factors,
-            self.mode,
-            &self.part.bucket,
-            self.part.lo,
-            &mut self.part.slab,
-            &mut self.part.scratch,
-        );
-    }
-}
-
-/// [`mttkrp_blocked`] writing into a caller-owned `h` through a
-/// preallocated [`MttkrpWorkspace`] — per-part slabs are zeroed and
-/// refilled with the exact accumulation loop of the allocating version,
-/// then stitched into `h` in fixed part order, so the result is
-/// bit-identical and the steady state allocates nothing (dispatch to the
+/// Block-parallel MTTKRP over the workspace's mode-row ranges, written
+/// into a caller-owned `h`. Each part becomes one work unit on `exec`,
+/// accumulating into its own row slab — no atomics, no shared writes —
+/// and the slabs are copied into disjoint row ranges of `h` in fixed
+/// part order. The steady state allocates nothing (dispatch to the
 /// threaded executor shares one borrowed closure — no job boxes; the
 /// sequential one is a plain loop).
+///
+/// **Bit-exact for every blocking and every [`ExecMode`]**: each bucket
+/// keeps its original entry order, and a row of `h` is only ever touched
+/// by the one part that owns it, so every output row sums its
+/// contributions in exactly the order the sequential [`mttkrp`] uses.
+///
+/// [`ExecMode`]: distenc_dataflow::ExecMode
 pub fn mttkrp_blocked_into(
     x: &CooTensor,
     factors: &[Mat],
@@ -369,7 +189,25 @@ pub fn mttkrp_blocked_into(
     }
     crate::record_entry_sweep(x.nnz());
     exec.run_mut(&mut ws.parts, |_, part| {
-        dispatch_rank(r, BucketSweep { x, factors, mode, part });
+        // Exactly the loop of the sequential [`mttkrp`], per bucket.
+        let MttkrpPart { bucket, lo, slab, scratch } = part;
+        slab.fill(0.0);
+        for &pos in bucket.iter() {
+            let idx = x.index(pos);
+            let v = x.value(pos);
+            scratch.iter_mut().for_each(|s| *s = v);
+            for (k, f) in factors.iter().enumerate() {
+                if k == mode {
+                    continue;
+                }
+                for (s, &a) in scratch.iter_mut().zip(f.row(idx[k])) {
+                    *s *= a;
+                }
+            }
+            for (o, &s) in slab.row_mut(idx[mode] - *lo).iter_mut().zip(scratch.iter()) {
+                *o += s;
+            }
+        }
     });
     for part in &ws.parts {
         h.as_mut_slice()[part.lo * r..(part.lo + part.slab.rows()) * r]
@@ -464,15 +302,14 @@ mod tests {
     }
 
     #[test]
-    fn mttkrp_blocked_is_bitwise_identical_to_sequential() {
+    fn mttkrp_blocked_into_is_bitwise_identical_to_sequential() {
         use distenc_dataflow::{ExecMode, Executor};
         let shape = [13, 7, 5];
         let x = random_coo(&shape, 150, 4);
-        let k = KruskalTensor::random(&shape, 3, 5);
+        let rank = 3;
         let seq = Executor::new(ExecMode::Sequential);
         let par = Executor::new(ExecMode::Threads(3));
         for (mode, &dim) in shape.iter().enumerate() {
-            let want = mttkrp(&x, k.factors(), mode).unwrap();
             // Several blockings, including degenerate (empty parts, one
             // part, one row per part): all must be *bit*-identical.
             let cuts: Vec<Vec<usize>> = vec![
@@ -483,37 +320,20 @@ mod tests {
             ];
             for boundaries in &cuts {
                 for exec in [&seq, &par] {
-                    let got =
-                        mttkrp_blocked(&x, k.factors(), mode, boundaries, exec).unwrap();
-                    assert_eq!(
-                        got.as_slice(),
-                        want.as_slice(),
-                        "mode {mode}, cuts {boundaries:?}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn mttkrp_blocked_into_reuses_workspace_bit_exactly() {
-        use distenc_dataflow::{ExecMode, Executor};
-        let shape = [13, 7, 5];
-        let x = random_coo(&shape, 150, 4);
-        let rank = 3;
-        for exec in [Executor::new(ExecMode::Sequential), Executor::new(ExecMode::Threads(3))] {
-            for (mode, &dim) in shape.iter().enumerate() {
-                let boundaries = vec![dim / 3, dim / 2, dim];
-                let mut ws = MttkrpWorkspace::new(&x, mode, &boundaries, rank).unwrap();
-                let mut h = Mat::random(dim, rank, 77); // dirty on purpose
-                // Two different factor sets through the same workspace:
-                // slab zeroing must erase all state between calls.
-                for seed in [5, 6] {
-                    let k = KruskalTensor::random(&shape, rank, seed);
-                    mttkrp_blocked_into(&x, k.factors(), &mut ws, &exec, &mut h).unwrap();
-                    let want =
-                        mttkrp_blocked(&x, k.factors(), mode, &boundaries, &exec).unwrap();
-                    assert_eq!(h.as_slice(), want.as_slice(), "mode {mode} seed {seed}");
+                    let mut ws = MttkrpWorkspace::new(&x, mode, boundaries, rank).unwrap();
+                    let mut h = Mat::random(dim, rank, 77); // dirty on purpose
+                    // Two different factor sets through the same workspace:
+                    // slab zeroing must erase all state between calls.
+                    for seed in [5, 6] {
+                        let k = KruskalTensor::random(&shape, rank, seed);
+                        let want = mttkrp(&x, k.factors(), mode).unwrap();
+                        mttkrp_blocked_into(&x, k.factors(), &mut ws, exec, &mut h).unwrap();
+                        assert_eq!(
+                            h.as_slice(),
+                            want.as_slice(),
+                            "mode {mode}, cuts {boundaries:?}, seed {seed}"
+                        );
+                    }
                 }
             }
         }
@@ -538,17 +358,6 @@ mod tests {
         assert!(MttkrpWorkspace::new(&x, 0, &[2], 2).is_err());
         assert!(MttkrpWorkspace::new(&x, 0, &[3, 2, 4], 2).is_err());
         assert!(MttkrpWorkspace::new(&x, 5, &[4], 2).is_err());
-    }
-
-    #[test]
-    fn mttkrp_blocked_rejects_bad_boundaries() {
-        use distenc_dataflow::{ExecMode, Executor};
-        let x = random_coo(&[4, 4], 5, 1);
-        let k = KruskalTensor::random(&[4, 4], 2, 2);
-        let exec = Executor::new(ExecMode::Sequential);
-        assert!(mttkrp_blocked(&x, k.factors(), 0, &[], &exec).is_err());
-        assert!(mttkrp_blocked(&x, k.factors(), 0, &[2], &exec).is_err()); // short
-        assert!(mttkrp_blocked(&x, k.factors(), 0, &[3, 2, 4], &exec).is_err()); // unsorted
     }
 
     #[test]

@@ -16,7 +16,7 @@
 
 use crate::coo::CooTensor;
 use crate::kruskal::KruskalTensor;
-use crate::mttkrp::{gram_product, mttkrp, mttkrp_blocked};
+use crate::mttkrp::mttkrp;
 use crate::{Result, TensorError};
 use distenc_dataflow::{even_ranges, Executor};
 use distenc_linalg::Mat;
@@ -40,69 +40,6 @@ pub fn residual(observed: &CooTensor, model: &KruskalTensor) -> Result<CooTensor
     Ok(e)
 }
 
-/// Update an existing residual in place (same support as `observed`),
-/// avoiding reallocation between iterations — this is the "calculate and
-/// cache the residual tensor" step of Algorithm 3.
-pub fn residual_into(
-    observed: &CooTensor,
-    model: &KruskalTensor,
-    e: &mut CooTensor,
-) -> Result<()> {
-    if e.nnz() != observed.nnz() || e.shape() != observed.shape() {
-        *e = residual(observed, model)?;
-        return Ok(());
-    }
-    crate::record_entry_sweep(observed.nnz());
-    for i in 0..observed.nnz() {
-        let idx = observed.index(i);
-        let v = observed.value(i) - model.eval(idx);
-        // Support is shared by construction, so positions line up.
-        debug_assert_eq!(e.index(i), idx);
-        *e.value_mut(i) = v;
-    }
-    Ok(())
-}
-
-/// [`residual_into`] with the per-entry evaluations spread over `exec`.
-///
-/// Every residual entry `e[i] = t[i] − [[A…]](idx[i])` is independent of
-/// every other, so *any* chunking is bit-identical to the sequential
-/// loop; chunks exist only to amortize task dispatch. Entry values are
-/// computed into per-chunk buffers and copied back in chunk order.
-pub fn residual_into_exec(
-    observed: &CooTensor,
-    model: &KruskalTensor,
-    e: &mut CooTensor,
-    exec: &Executor,
-) -> Result<()> {
-    if e.nnz() != observed.nnz() || e.shape() != observed.shape() {
-        if observed.shape() != model.shape().as_slice() {
-            return Err(TensorError::ShapeMismatch(format!(
-                "observed shape {:?} vs model shape {:?}",
-                observed.shape(),
-                model.shape()
-            )));
-        }
-        *e = observed.clone();
-    }
-    crate::record_entry_sweep(observed.nnz());
-    // Chunk by deliverable concurrency, not the configured thread count:
-    // oversplitting past the host's cores only adds dispatch overhead
-    // (any chunking is bit-exact, see above).
-    let chunks = even_ranges(observed.nnz(), exec.parallelism() * 4);
-    let computed = exec.run(&chunks, |_, range| {
-        range
-            .clone()
-            .map(|i| observed.value(i) - model.eval(observed.index(i)))
-            .collect::<Vec<f64>>()
-    });
-    let vals = e.values_mut();
-    for (range, chunk) in chunks.iter().zip(computed) {
-        vals[range.clone()].copy_from_slice(&chunk);
-    }
-    Ok(())
-}
-
 /// Reusable chunk buffers for [`residual_refresh_exec`], sized once for a
 /// fixed support and executor so the steady-state refresh allocates
 /// nothing.
@@ -116,10 +53,12 @@ struct ResidualChunk {
 }
 
 impl ResidualWorkspace {
-    /// Chunk `nnz` entries for `exec` (same `parallelism × 4` chunking as
-    /// [`residual_into_exec`]). When the executor cannot actually run
-    /// chunks concurrently the refresh takes its flat sequential path, so
-    /// no buffers are reserved at all.
+    /// Chunk `nnz` entries for `exec` (`parallelism × 4` chunks: by
+    /// deliverable concurrency, not the configured thread count, since
+    /// oversplitting past the host's cores only adds dispatch overhead).
+    /// When the executor cannot actually run chunks concurrently the
+    /// refresh takes its flat sequential path, so no buffers are reserved
+    /// at all.
     pub fn new(nnz: usize, exec: &Executor) -> Self {
         if exec.parallelism() <= 1 {
             return ResidualWorkspace { jobs: Vec::new() };
@@ -135,15 +74,14 @@ impl ResidualWorkspace {
     }
 }
 
-/// Allocation-free [`residual_into_exec`] for an already-initialized
-/// residual: every entry `e[i] = t[i] − [[A…]](idx[i])` is computed
-/// independently, so the values are bit-identical to the sequential loop
-/// for any chunking. At one thread this *is* the sequential loop (no
-/// buffers touched); threaded runs fill the workspace's per-chunk buffers
-/// and copy back in chunk order.
-///
-/// Unlike [`residual_into_exec`] this never falls back to allocating a
-/// fresh residual: a support mismatch is an error.
+/// Refresh an already-initialized residual in place — the "calculate
+/// and cache the residual tensor" step of Algorithm 3 — with the
+/// per-entry evaluations spread over `exec`, allocation-free. Every entry
+/// `e[i] = t[i] − [[A…]](idx[i])` is computed independently, so the
+/// values are bit-identical to [`residual`] for any chunking. At one
+/// thread this *is* the sequential loop (no buffers touched); threaded
+/// runs fill the workspace's per-chunk buffers and copy back in chunk
+/// order. A support mismatch is an error, never a silent reallocation.
 pub fn residual_refresh_exec(
     observed: &CooTensor,
     model: &KruskalTensor,
@@ -194,25 +132,15 @@ pub fn residual_refresh_exec(
 
 /// The completed-tensor MTTKRP via the residual trick (Eq. 16):
 ///
-/// `H₁ = A⁽ⁿ⁾ · F⁽ⁿ⁾ + E₍ₙ₎U⁽ⁿ⁾` with `F⁽ⁿ⁾ = U⁽ⁿ⁾ᵀU⁽ⁿ⁾` from cached Grams.
+/// `H₁ = A⁽ⁿ⁾ · F⁽ⁿ⁾ + E₍ₙ₎U⁽ⁿ⁾` with `F⁽ⁿ⁾ = U⁽ⁿ⁾ᵀU⁽ⁿ⁾`.
 ///
-/// `grams[k]` must be `A⁽ᵏ⁾ᵀA⁽ᵏ⁾` for the *current* factors.
+/// `f` must be the Gram product of the *current* factors
+/// ([`crate::mttkrp::gram_product`] over the cached per-factor Grams) —
+/// solvers form `F⁽ⁿ⁾` for the normal equations anyway, so it is passed
+/// in rather than recomputed. The sparse part is the sequential
+/// [`mttkrp`]; this is the reference the baselines and oracles use (the
+/// DisTenC solvers assemble the same sum from their layout kernels).
 pub fn completed_mttkrp(
-    e: &CooTensor,
-    model: &KruskalTensor,
-    grams: &[Mat],
-    mode: usize,
-) -> Result<Mat> {
-    let f = gram_product(grams, mode)?;
-    completed_mttkrp_with_gram(e, model, &f, mode)
-}
-
-/// [`completed_mttkrp`] with the Gram product `F⁽ⁿ⁾` supplied by the
-/// caller — for solvers that already computed `F⁽ⁿ⁾` for the normal
-/// equations and shouldn't recompute it (ALS computes it once per mode
-/// and reuses it here; the result is bit-identical because `F⁽ⁿ⁾` is a
-/// deterministic function of the Grams).
-pub fn completed_mttkrp_with_gram(
     e: &CooTensor,
     model: &KruskalTensor,
     f: &Mat,
@@ -220,25 +148,6 @@ pub fn completed_mttkrp_with_gram(
 ) -> Result<Mat> {
     let mut h = model.factors()[mode].matmul(f)?;
     let sparse_part = mttkrp(e, model.factors(), mode)?;
-    h.axpy(1.0, &sparse_part)?;
-    Ok(h)
-}
-
-/// [`completed_mttkrp`] with the sparse part computed by
-/// [`mttkrp_blocked`] over `boundaries` on `exec`. Bit-identical to the
-/// sequential version for every blocking (see [`mttkrp_blocked`]); the
-/// dense `A⁽ⁿ⁾F⁽ⁿ⁾` part is cheap and stays on the calling thread.
-pub fn completed_mttkrp_exec(
-    e: &CooTensor,
-    model: &KruskalTensor,
-    grams: &[Mat],
-    mode: usize,
-    boundaries: &[usize],
-    exec: &Executor,
-) -> Result<Mat> {
-    let f = gram_product(grams, mode)?;
-    let mut h = model.factors()[mode].matmul(&f)?;
-    let sparse_part = mttkrp_blocked(e, model.factors(), mode, boundaries, exec)?;
     h.axpy(1.0, &sparse_part)?;
     Ok(h)
 }
@@ -277,6 +186,7 @@ mod tests {
     use super::*;
     use crate::dense::DenseTensor;
     use crate::khatri_rao::khatri_rao_skip;
+    use crate::mttkrp::gram_product;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -313,39 +223,6 @@ mod tests {
     }
 
     #[test]
-    fn residual_into_reuses_support() {
-        let k = KruskalTensor::random(&[3, 3], 2, 9);
-        let t = random_coo(&[3, 3], 5, 2);
-        let mut e = residual(&t, &k).unwrap();
-        let k2 = KruskalTensor::random(&[3, 3], 2, 10);
-        residual_into(&t, &k2, &mut e).unwrap();
-        let fresh = residual(&t, &k2).unwrap();
-        assert_eq!(e, fresh);
-    }
-
-    #[test]
-    fn residual_into_exec_is_bitwise_identical() {
-        use distenc_dataflow::{ExecMode, Executor};
-        let k = KruskalTensor::random(&[6, 5, 4], 3, 9);
-        let t = random_coo(&[6, 5, 4], 40, 2);
-        let mut seq_e = residual(&t, &k).unwrap();
-        residual_into(&t, &k, &mut seq_e).unwrap();
-        for mode in [ExecMode::Sequential, ExecMode::Threads(3)] {
-            let exec = Executor::new(mode);
-            // Fresh allocation path.
-            let mut e = CooTensor::new(vec![1]);
-            residual_into_exec(&t, &k, &mut e, &exec).unwrap();
-            assert_eq!(e, seq_e);
-            // In-place refresh path.
-            let k2 = KruskalTensor::random(&[6, 5, 4], 3, 10);
-            let mut want = seq_e.clone();
-            residual_into(&t, &k2, &mut want).unwrap();
-            residual_into_exec(&t, &k2, &mut e, &exec).unwrap();
-            assert_eq!(e, want);
-        }
-    }
-
-    #[test]
     fn residual_refresh_exec_is_bitwise_identical() {
         use distenc_dataflow::{ExecMode, Executor};
         let t = random_coo(&[6, 5, 4], 40, 2);
@@ -367,40 +244,6 @@ mod tests {
     }
 
     #[test]
-    fn completed_mttkrp_with_gram_matches_completed_mttkrp() {
-        let shape = [5, 4, 6];
-        let model = KruskalTensor::random(&shape, 3, 11);
-        let t = random_coo(&shape, 30, 3);
-        let e = residual(&t, &model).unwrap();
-        let grams: Vec<Mat> = model.factors().iter().map(Mat::gram).collect();
-        for mode in 0..3 {
-            let f = gram_product(&grams, mode).unwrap();
-            let got = completed_mttkrp_with_gram(&e, &model, &f, mode).unwrap();
-            let want = completed_mttkrp(&e, &model, &grams, mode).unwrap();
-            assert_eq!(got.as_slice(), want.as_slice());
-        }
-    }
-
-    #[test]
-    fn completed_mttkrp_exec_is_bitwise_identical() {
-        use distenc_dataflow::{ExecMode, Executor};
-        let shape = [5, 4, 6];
-        let model = KruskalTensor::random(&shape, 3, 11);
-        let t = random_coo(&shape, 30, 3);
-        let e = residual(&t, &model).unwrap();
-        let grams: Vec<Mat> = model.factors().iter().map(Mat::gram).collect();
-        let exec = Executor::new(ExecMode::Threads(4));
-        for (mode, &dim) in shape.iter().enumerate() {
-            let want = completed_mttkrp(&e, &model, &grams, mode).unwrap();
-            let boundaries = [dim.div_ceil(2), dim];
-            let got =
-                completed_mttkrp_exec(&e, &model, &grams, mode, &boundaries, &exec)
-                    .unwrap();
-            assert_eq!(got.as_slice(), want.as_slice(), "mode {mode}");
-        }
-    }
-
-    #[test]
     fn eq_16_identity_holds() {
         // H₁ computed via the residual trick must equal the naive
         // X₍ₙ₎U⁽ⁿ⁾ against the *completed dense* tensor
@@ -418,12 +261,15 @@ mod tests {
         }
 
         for mode in 0..3 {
-            let fast = completed_mttkrp(&e, &model, &grams, mode).unwrap();
+            let f = gram_product(&grams, mode).unwrap();
+            let fast = completed_mttkrp(&e, &model, &f, mode).unwrap();
             let u = khatri_rao_skip(model.factors(), mode).unwrap();
             let naive = x.matricize(mode).matmul(&u).unwrap();
             for (a, b) in fast.as_slice().iter().zip(naive.as_slice()) {
                 assert!((a - b).abs() < 1e-9, "mode {mode}: {a} vs {b}");
             }
+            let oracle = completed_mttkrp_naive(&t, &model, mode).unwrap();
+            assert_eq!(naive.as_slice(), oracle.as_slice());
         }
     }
 

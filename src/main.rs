@@ -76,26 +76,27 @@ USAGE:
                                        last P iterations polished exactly;
                                        DISTENC_TIER=sketched[:N[:P]] is the
                                        env equivalent)
-                   [--layout coo|csf|tiled]
-                                      (residual storage layout; coo and tiled
-                                       are bit-identical, csf matches to
-                                       rounding. Precedence: --layout, then
-                                       DISTENC_LAYOUT, then the legacy
-                                       default. Unknown names are errors)
+                   [--layout coo|tiled]
+                                      (residual storage layout, bit-identical
+                                       either way; tiled is the default and
+                                       faster, coo is the reference.
+                                       Precedence: --layout, then
+                                       DISTENC_LAYOUT, then tiled. Unknown
+                                       names are errors)
                    [--checkpoint FILE] [--checkpoint-every N]
                                       (snapshot the solver state to FILE every
                                        N iterations, default 5; atomic,
                                        checksummed, resumable)
   distenc resume   --checkpoint FILE --input FILE --out MODEL
                    [--similarity FILE@MODE].. [--threads N]
-                   [--checkpoint-every N] [--layout coo|csf|tiled]
+                   [--checkpoint-every N] [--layout coo|tiled]
                    (continue an interrupted `complete` from its snapshot;
                     the finished model is bit-identical to the run that was
                     never interrupted. --checkpoint-every keeps snapshotting
                     to the same FILE while resuming)
   distenc stream   --input FILE --delta FILE.. --rank R --out MODEL
                    [--iters T] [--budget-iters T] [--tol EPS] [--seed S]
-                   [--layout coo|csf|tiled]
+                   [--layout coo|tiled]
                    (each --delta is a COO file; entries on observed cells
                     become value updates, new cells become inserts, and a
                     larger `# shape:` header grows the tensor — the model
@@ -159,7 +160,7 @@ fn parse_list(s: &str, what: &str) -> Result<Vec<usize>, String> {
     s.split(',').map(|p| parse_num(p.trim(), what)).collect()
 }
 
-/// `--layout coo|csf|tiled`. Unknown names are errors, never fallbacks —
+/// `--layout coo|tiled`. Unknown names are errors, never fallbacks —
 /// a typo must not silently change which kernels run.
 fn parse_layout(opts: &BTreeMap<String, String>) -> Result<Option<LayoutKind>, String> {
     opts.get("layout")

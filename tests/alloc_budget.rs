@@ -78,6 +78,7 @@ fn per_iter(observed: &CooTensor, cfg: &AdmmConfig, count: fn(&CooTensor, &AdmmC
 #[test]
 fn steady_state_iterations_allocate_o1_heap() {
     // tol far below reachable so every run executes exactly max_iters.
+    // The default layout is the production one: tiled, fused sweep.
     let base = AdmmConfig { rank: 3, tol: 1e-300, ..Default::default() };
     let small = planted(&[14, 12, 10], 3, 600, 2);
     let large = planted(&[28, 24, 20], 3, 2400, 3);
@@ -123,6 +124,8 @@ fn steady_state_iterations_allocate_o1_heap() {
 #[test]
 fn pool_index_broadcast_allocates_nothing() {
     use std::sync::atomic::{AtomicU64, Ordering};
+    // `Pool::new` returns only once both workers run, so no thread's
+    // startup state can land in the measured window.
     let pool = scoped_pool::Pool::new(2);
     let hits = AtomicU64::new(0);
     let task = |_i: usize| {

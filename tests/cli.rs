@@ -63,6 +63,26 @@ fn generate_complete_evaluate_predict_pipeline() {
 }
 
 #[test]
+fn non_finite_input_exits_nonzero_and_writes_no_model() {
+    for (name, bad) in [("nan", "nan"), ("inf", "-inf")] {
+        let data = tmp(&format!("nonfinite-{name}.tns"));
+        let model = tmp(&format!("nonfinite-{name}.kruskal"));
+        let _ = std::fs::remove_file(&model);
+        let text = format!("# shape: 3 3 2\n0 0 0 1.0\n1 2 1 {bad}\n2 1 0 0.5\n");
+        std::fs::write(&data, text).unwrap();
+        let out = bin()
+            .args(["complete", "--input", data.to_str().unwrap(), "--rank", "2"])
+            .args(["--out", model.to_str().unwrap()])
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "a {bad} entry must fail the run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("non-finite value"), "typed error expected, got: {stderr}");
+        assert!(!model.exists(), "no model may be written for {bad} input");
+    }
+}
+
+#[test]
 fn helpful_errors() {
     // No command.
     let out = bin().output().unwrap();

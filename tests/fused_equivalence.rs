@@ -8,9 +8,10 @@
 //! trace statistics, and for the distributed driver even the virtual
 //! clock — must match the unfused schedule to the bit, across ranks
 //! (including the specialized R=8/16 kernels and the generic fallback),
-//! tensor orders, the COO and CSF layouts, and both execution backends.
+//! tensor orders, both layouts (the tiled fused kernel and the COO
+//! refresh-then-MTTKRP sequence), and both execution backends.
 
-use distenc::core::{AdmmConfig, AdmmSolver, CompletionResult, DisTenC};
+use distenc::core::{AdmmConfig, AdmmSolver, CompletionResult, DisTenC, LayoutKind};
 use distenc::dataflow::{Cluster, ClusterConfig, ExecMode};
 use distenc::tensor::{CooTensor, KruskalTensor};
 use rand::rngs::StdRng;
@@ -71,13 +72,13 @@ fn host_solver_fused_matches_unfused_bit_for_bit() {
     ];
     for &(shape, rank) in cases {
         let observed = planted(shape, rank, 60 * shape.len(), rank as u64 + 5);
-        for use_csf in [false, true] {
+        for layout in [LayoutKind::Coo, LayoutKind::Tiled] {
             for exec in [ExecMode::Sequential, ExecMode::Threads(4)] {
                 let base = AdmmConfig {
                     rank,
                     max_iters: 6,
                     tol: 1e-12,
-                    use_csf,
+                    layout: Some(layout),
                     exec,
                     ..Default::default()
                 };
@@ -91,7 +92,7 @@ fn host_solver_fused_matches_unfused_bit_for_bit() {
                     .solve(&observed, &lapses)
                     .unwrap();
                 let label =
-                    format!("shape {shape:?} rank {rank} csf {use_csf} exec {exec:?}");
+                    format!("shape {shape:?} rank {rank} layout {layout} exec {exec:?}");
                 assert_bit_identical(&fused, &plain, &label);
             }
         }

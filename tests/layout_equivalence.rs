@@ -5,16 +5,13 @@
 //! contract, pinned here at both `DISTENC_THREADS` settings `ci.sh`
 //! runs this file under:
 //!
-//! * **coo ↔ tiled is bit-for-bit.** The tiled layout only reorders the
-//!   entry walk *between* output rows (tiles are row-aligned and the
-//!   counting sort is stable), so every per-row accumulation chain — and
-//!   therefore every factor, RMSE, and trace value — is the sequential
-//!   COO fold replayed exactly. This holds for the exact tier, the
-//!   sketched tier (sampling gathers from the untouched canonical entry
-//!   list), and streaming warm re-solves.
-//! * **csf matches to rounding.** CSF tree walks genuinely reassociate
-//!   the folds, so the pre-existing ~1e-9 tolerance applies, not bit
-//!   equality.
+//! * **coo ↔ tiled is bit-for-bit.** The tiled layout (the default) only
+//!   reorders the entry walk *between* output rows (tiles are row-aligned
+//!   and the counting sort is stable), so every per-row accumulation
+//!   chain — and therefore every factor, RMSE, and trace value — is the
+//!   sequential COO fold replayed exactly. This holds for the exact tier,
+//!   the sketched tier (sampling gathers from the untouched canonical
+//!   entry list), and streaming warm re-solves.
 //! * **Unknown layout names are typed errors**, never silent fallbacks —
 //!   from both `LayoutKind::parse` (the `--layout` path) and
 //!   `DISTENC_LAYOUT` (the one test touching the env lives alone in this
@@ -100,28 +97,6 @@ fn tiled_layout_matches_coo_bit_for_bit() {
 }
 
 #[test]
-fn csf_layout_matches_coo_to_rounding() {
-    // CSF fiber walks reassociate the per-row folds; the established
-    // contract (see the solver crate's own csf-vs-coo test) is agreement
-    // to ~1e-9, not bit equality.
-    let observed = planted(&[14, 12, 10], 3, 700, 19);
-    let cfg = AdmmConfig { rank: 3, max_iters: 8, tol: 1e-12, ..Default::default() };
-    let coo = solve(&observed, cfg.clone().with_layout(LayoutKind::Coo));
-    let csf = solve(&observed, cfg.with_layout(LayoutKind::Csf));
-    assert_eq!(coo.iterations, csf.iterations);
-    for (n, (fa, fb)) in coo.model.factors().iter().zip(csf.model.factors()).enumerate() {
-        let dist: f64 = fa
-            .as_slice()
-            .iter()
-            .zip(fb.as_slice())
-            .map(|(x, y)| (x - y) * (x - y))
-            .sum::<f64>()
-            .sqrt();
-        assert!(dist < 1e-9, "mode {n} factor distance {dist}");
-    }
-}
-
-#[test]
 fn sketched_tier_on_tiled_matches_sketched_on_coo_bitwise() {
     // The sampler draws from the canonical entry list, which the tiled
     // layout carries untouched (the tile permutation is a separate
@@ -184,7 +159,9 @@ fn streaming_warm_resolve_on_tiled_is_bit_exact() {
 fn unknown_layout_name_is_a_typed_parse_error() {
     // The `--layout` path: parse failures name the offender and never
     // fall back to a default layout.
-    for bad in ["blocked", "coo,csf", "z-order", ""] {
+    // "csf" names a layout that was removed; it must not resolve to
+    // another one.
+    for bad in ["blocked", "csf", "coo,tiled", "z-order", ""] {
         match LayoutKind::parse(bad) {
             Err(TensorError::InvalidLayout(name)) => {
                 assert_eq!(name, bad, "error must carry the rejected name")
@@ -214,11 +191,18 @@ fn invalid_layout_env_fails_the_solve_with_a_typed_error() {
 
     // A valid env value selects the layout (and matches the explicit
     // config selection bit-for-bit).
-    std::env::set_var("DISTENC_LAYOUT", "tiled");
+    std::env::set_var("DISTENC_LAYOUT", "coo");
+    assert_eq!(cfg.resolved_layout().unwrap(), LayoutKind::Coo);
     let via_env = AdmmSolver::new(cfg.clone()).unwrap().solve(&observed, &laps).unwrap();
     std::env::remove_var("DISTENC_LAYOUT");
-    let via_cfg = solve(&observed, cfg.with_layout(LayoutKind::Tiled));
+    let via_cfg = solve(&observed, cfg.clone().with_layout(LayoutKind::Coo));
     assert_bit_identical(&via_env, &via_cfg, "env vs config selection");
+
+    // Unset: the tiled production default.
+    assert_eq!(cfg.resolved_layout().unwrap(), LayoutKind::Tiled);
+    let via_default = AdmmSolver::new(cfg.clone()).unwrap().solve(&observed, &laps).unwrap();
+    let via_tiled = solve(&observed, cfg.with_layout(LayoutKind::Tiled));
+    assert_bit_identical(&via_default, &via_tiled, "default vs explicit tiled");
 }
 
 proptest! {

@@ -73,7 +73,7 @@ fn concurrent_queries_survive_model_swaps() {
                     }
                     seen.insert(p.generation);
                     reads += 2;
-                    if reads >= 200 && stop.load(Ordering::Relaxed) {
+                    if reads >= 400 && stop.load(Ordering::Relaxed) {
                         break;
                     }
                 }

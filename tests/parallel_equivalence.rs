@@ -10,9 +10,10 @@
 use distenc::core::{AdmmConfig, AdmmSolver, DisTenC};
 use distenc::dataflow::{Cluster, ClusterConfig, Dist, ExecMode, Executor};
 use distenc::graph::Laplacian;
-use distenc::tensor::mttkrp::{mttkrp, mttkrp_blocked};
-use distenc::tensor::residual::{residual, residual_into_exec};
-use distenc::tensor::CooTensor;
+use distenc::linalg::Mat;
+use distenc::tensor::mttkrp::{mttkrp, mttkrp_blocked_into, MttkrpWorkspace};
+use distenc::tensor::residual::{residual, residual_refresh_exec, ResidualWorkspace};
+use distenc::tensor::{CooTensor, LayoutKind, TensorLayout};
 use proptest::prelude::*;
 
 /// Random sparse tensor with 2–4 modes, dims in [2,8], 1–60 entries.
@@ -128,8 +129,9 @@ proptest! {
         }
     }
 
-    /// The blocked MTTKRP kernel matches the sequential one bit-for-bit
-    /// for arbitrary (valid) boundary placements and every backend.
+    /// The blocked COO MTTKRP kernel and the tiled layout's kernel match
+    /// the sequential one bit-for-bit for arbitrary (valid) boundary
+    /// placements and every backend.
     #[test]
     fn mttkrp_blocked_bit_identical(
         observed in coo_strategy(),
@@ -153,8 +155,14 @@ proptest! {
             cuts.sort_unstable();
             for n in THREAD_COUNTS {
                 let exec = Executor::new(ExecMode::Threads(n));
-                let got =
-                    mttkrp_blocked(&observed, model.factors(), mode, &cuts, &exec).unwrap();
+                let mut ws = MttkrpWorkspace::new(&observed, mode, &cuts, rank).unwrap();
+                let mut got = Mat::zeros(dim, rank);
+                mttkrp_blocked_into(&observed, model.factors(), &mut ws, &exec, &mut got)
+                    .unwrap();
+                prop_assert_eq!(got.as_slice(), want.as_slice());
+                let tiled = TensorLayout::build(observed.clone(), LayoutKind::Tiled).unwrap();
+                let mut lw = tiled.workspace(rank, &[], &exec).unwrap();
+                tiled.mttkrp_into(model.factors(), mode, &mut lw, &exec, &mut got).unwrap();
                 prop_assert_eq!(got.as_slice(), want.as_slice());
             }
         }
@@ -173,8 +181,10 @@ proptest! {
         let want = residual(&observed, &model).unwrap();
         for n in THREAD_COUNTS {
             let exec = Executor::new(ExecMode::Threads(n));
-            let mut e = CooTensor::new(vec![1]);
-            residual_into_exec(&observed, &model, &mut e, &exec).unwrap();
+            let mut ws = ResidualWorkspace::new(observed.nnz(), &exec);
+            // Stale values on the observed support, as the solver starts.
+            let mut e = observed.clone();
+            residual_refresh_exec(&observed, &model, &mut e, &mut ws, &exec).unwrap();
             prop_assert_eq!(&e, &want);
         }
     }

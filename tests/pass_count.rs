@@ -12,6 +12,10 @@
 //! * **N** times fused — N−1 MTTKRPs, one fused refresh+MTTKRP sweep, and
 //!   a mode-0 update served from the stash without touching the entries.
 //!
+//! Only the tiled layout (the default) has a fused kernel; on the COO
+//! reference layout the fused schedule runs the refresh and the mode-0
+//! MTTKRP as two sweeps, so it stays at N+1.
+//!
 //! Alongside sweeps, the instrument counts **entries touched**, which is
 //! what prices the sketched tier: a sampled gather of `S` draws charges
 //! `S` entries but zero sweeps (it never traverses the full list). A
@@ -124,27 +128,24 @@ fn fused_iterations_sweep_the_nonzeros_one_time_fewer() {
     let order3 = planted(&[14, 12, 10], 3, 600, 2);
     let order4 = planted(&[9, 8, 7, 6], 3, 700, 3);
 
-    // --- Host solver, COO kernels. -----------------------------------
-    let fused = AdmmConfig { fused: true, ..base.clone() };
-    let plain = AdmmConfig { fused: false, ..base.clone() };
-    assert_eq!(host_sweeps_per_iter(&order3, &fused), 3.0, "order 3 fused");
-    assert_eq!(host_sweeps_per_iter(&order3, &plain), 4.0, "order 3 unfused");
-    assert_eq!(host_sweeps_per_iter(&order4, &fused), 4.0, "order 4 fused");
-    assert_eq!(host_sweeps_per_iter(&order4, &plain), 5.0, "order 4 unfused");
-
-    // --- Host solver, CSF tree walks. --------------------------------
-    let csf_fused = AdmmConfig { use_csf: true, ..fused.clone() };
-    let csf_plain = AdmmConfig { use_csf: true, ..plain.clone() };
-    assert_eq!(host_sweeps_per_iter(&order3, &csf_fused), 3.0, "CSF fused");
-    assert_eq!(host_sweeps_per_iter(&order3, &csf_plain), 4.0, "CSF unfused");
-
-    // --- Host solver, tiled layout. ----------------------------------
+    // --- Host solver, tiled layout (explicit, and as the default). ----
     // Cache-blocking reorders the entry walk but must not add passes:
     // the tiled sweep is one traversal of the (permuted) entry list.
+    let fused = AdmmConfig { fused: true, ..base.clone() };
+    let plain = AdmmConfig { fused: false, ..base.clone() };
     let tiled_fused = AdmmConfig { layout: Some(LayoutKind::Tiled), ..fused.clone() };
     let tiled_plain = AdmmConfig { layout: Some(LayoutKind::Tiled), ..plain.clone() };
-    assert_eq!(host_sweeps_per_iter(&order3, &tiled_fused), 3.0, "tiled fused");
-    assert_eq!(host_sweeps_per_iter(&order3, &tiled_plain), 4.0, "tiled unfused");
+    assert_eq!(host_sweeps_per_iter(&order3, &tiled_fused), 3.0, "order 3 fused");
+    assert_eq!(host_sweeps_per_iter(&order3, &tiled_plain), 4.0, "order 3 unfused");
+    assert_eq!(host_sweeps_per_iter(&order4, &tiled_fused), 4.0, "order 4 fused");
+    assert_eq!(host_sweeps_per_iter(&order4, &tiled_plain), 5.0, "order 4 unfused");
+    assert_eq!(host_sweeps_per_iter(&order3, &fused), 3.0, "default layout fused");
+
+    // --- Host solver, COO reference layout: no fused kernel. ---------
+    let coo_fused = AdmmConfig { layout: Some(LayoutKind::Coo), ..fused.clone() };
+    let coo_plain = AdmmConfig { layout: Some(LayoutKind::Coo), ..plain.clone() };
+    assert_eq!(host_sweeps_per_iter(&order3, &coo_fused), 4.0, "COO fused");
+    assert_eq!(host_sweeps_per_iter(&order3, &coo_plain), 4.0, "COO unfused");
 
     // --- Distributed solver, block-local kernels. --------------------
     assert_eq!(distenc_sweeps_per_iter(&order3, &fused), 3.0, "distenc fused");

@@ -7,7 +7,7 @@
 //!
 //! * same seed + config ⇒ bit-identical sampled index sets, and
 //!   bit-identical factors under `ExecMode::Sequential` vs
-//!   `ExecMode::Threads(4)`, on both the COO and CSF layouts (proptest,
+//!   `ExecMode::Threads(4)`, on both the tiled and COO layouts (proptest,
 //!   across seeds);
 //! * `samples ≥ nnz` degenerates to the exact tier **bit-identically**
 //!   (the documented fallback routes through `HostBackend` before any
@@ -18,7 +18,7 @@
 //!   `sketched + fused=false` runs the sketch phase's own fused sampled
 //!   sweep (the ablation flag only governs the exact path).
 
-use distenc::core::{AdmmConfig, AdmmSolver, CompletionResult, SolverTier};
+use distenc::core::{AdmmConfig, AdmmSolver, CompletionResult, LayoutKind, SolverTier};
 use distenc::dataflow::ExecMode;
 use distenc::tensor::sample::EntrySampler;
 use distenc::tensor::{CooTensor, KruskalTensor};
@@ -81,7 +81,7 @@ proptest! {
     #[test]
     fn sketched_factors_are_bit_identical_across_executors(
         seed in 0u64..256,
-        use_csf in any::<bool>(),
+        tiled in any::<bool>(),
     ) {
         let observed = planted(&[12, 10, 8], 2, 700, seed);
         let samples = (observed.nnz() / 3).max(1);
@@ -90,7 +90,7 @@ proptest! {
             max_iters: 8,
             tol: 1e-12,
             seed,
-            use_csf,
+            layout: Some(if tiled { LayoutKind::Tiled } else { LayoutKind::Coo }),
             solver_tier: SolverTier::Sketched { samples, polish_iters: 3 },
             ..Default::default()
         };

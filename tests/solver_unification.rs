@@ -12,12 +12,14 @@
 //!    order differs, so factors agree to rounding (1e-8).
 //!
 //! Plus regression tests that an empty observed tensor is an error from
-//! every solver — never a `NaN` train RMSE (0/0) leaking into the trace.
+//! every solver — never a `NaN` train RMSE (0/0) leaking into the trace —
+//! and that a solve going non-finite is a typed divergence error on every
+//! tier, never a "converged" NaN model.
 
 use distenc::baselines::{AlsConfig, AlsSolver};
-use distenc::core::{AdmmConfig, AdmmSolver, DisTenC};
+use distenc::core::{AdmmConfig, AdmmSolver, CoreError, DisTenC, SolverTier};
 use distenc::dataflow::{Cluster, ClusterConfig};
-use distenc::tensor::{CooTensor, KruskalTensor};
+use distenc::tensor::{CooTensor, KruskalTensor, TensorError};
 use proptest::prelude::*;
 
 fn planted(shape: &[usize], rank: usize, nnz: usize, seed: u64) -> CooTensor {
@@ -128,4 +130,49 @@ fn empty_tensor_error_carries_no_partial_state() {
     let err = solver.solve(&empty, &[None, None]).unwrap_err();
     let msg = err.to_string();
     assert!(msg.contains("no entries"), "unexpected error message: {msg}");
+}
+
+/// Every tier on `observed`: exact host, sketched host, and the cluster.
+fn solve_every_tier(observed: &CooTensor) -> Vec<(&'static str, Result<bool, CoreError>)> {
+    let cfg = AdmmConfig { rank: 2, max_iters: 10, ..Default::default() };
+    let laps = [None, None, None];
+    let exact = AdmmSolver::new(cfg.clone()).unwrap().solve(observed, &laps);
+    let tier = SolverTier::Sketched { samples: observed.nnz() / 3, polish_iters: 2 };
+    let sketched = AdmmSolver::new(cfg.clone().with_tier(tier)).unwrap().solve(observed, &laps);
+    let cluster = Cluster::new(ClusterConfig::test(3).with_time_budget(None));
+    let dist = DisTenC::new(&cluster, cfg).unwrap().solve(observed, &laps);
+    [("exact", exact), ("sketched", sketched), ("cluster", dist)]
+        .into_iter()
+        .map(|(tier, r)| (tier, r.map(|r| r.converged)))
+        .collect()
+}
+
+#[test]
+fn diverging_solve_is_a_typed_error_on_every_tier() {
+    // Finite input whose residual squares overflow: the first factor
+    // update is ~1e300, so the factor delta (and the RMSE) leave the
+    // finite range. Unguarded, the exact tier reports convergence with a
+    // non-finite model (`max` drops a NaN delta).
+    let mut observed = planted(&[8, 7, 6], 2, 150, 3);
+    observed.values_mut()[5] = 1e300;
+    for (tier, res) in solve_every_tier(&observed) {
+        assert!(matches!(res, Err(CoreError::Diverged { .. })), "{tier}: got {res:?}");
+    }
+}
+
+#[test]
+fn non_finite_values_written_in_place_are_rejected_on_every_tier() {
+    // Construction rejects NaN/inf entries; values written in place
+    // afterwards are caught at the solve boundary with the same typed
+    // error, on every tier, before any kernel runs.
+    for bad in [f64::NAN, f64::INFINITY] {
+        let mut observed = planted(&[8, 7, 6], 2, 150, 3);
+        observed.values_mut()[5] = bad;
+        for (tier, res) in solve_every_tier(&observed) {
+            assert!(
+                matches!(res, Err(CoreError::Tensor(TensorError::NonFinite { .. }))),
+                "{tier} ({bad}): got {res:?}"
+            );
+        }
+    }
 }

@@ -7,7 +7,7 @@
 //!    [`StreamingSolver::solve`] must be *bit-identical* to
 //!    [`AdmmSolver::solve_from`] on the final tensor with the same
 //!    (grown) model — for empty deltas, value updates, inserts, and
-//!    dimension growth alike, with and without the CSF path.
+//!    dimension growth alike, on both the tiled and the COO layout.
 //! 2. **Tolerance vs a cold solve.** A delta sequence plus warm
 //!    re-solves must land at the same training quality a from-scratch
 //!    solve of the final tensor reaches (local minima differ in the
@@ -17,7 +17,7 @@
 //! backend comes from `ExecMode::default()`, so both schedules are
 //! covered without test-side plumbing.
 
-use distenc::core::{AdmmConfig, AdmmSolver};
+use distenc::core::{AdmmConfig, AdmmSolver, LayoutKind};
 use distenc::stream::{DeltaBatch, StreamingSolver};
 use distenc::tensor::{CooTensor, KruskalTensor};
 use proptest::prelude::*;
@@ -93,9 +93,10 @@ fn random_batch(
 
 #[test]
 fn empty_delta_warm_resolve_is_bit_exact() {
-    for use_csf in [false, true] {
+    for layout in [LayoutKind::Coo, LayoutKind::Tiled] {
         let observed = planted(&[10, 9, 8], 2, 200, 11);
-        let cfg = AdmmConfig { rank: 2, max_iters: 7, tol: 1e-12, use_csf, ..Default::default() };
+        let cfg = AdmmConfig { rank: 2, max_iters: 7, tol: 1e-12, ..Default::default() }
+            .with_layout(layout);
         let mut s =
             StreamingSolver::new(observed.clone(), vec![None, None, None], cfg.clone()).unwrap();
         s.solve().unwrap();
@@ -110,7 +111,7 @@ fn empty_delta_warm_resolve_is_bit_exact() {
             .unwrap()
             .solve_from(&observed, &[None, None, None], &before)
             .unwrap();
-        assert_eq!(warm.iterations, oracle.iterations, "use_csf={use_csf}");
+        assert_eq!(warm.iterations, oracle.iterations, "layout {layout}");
         assert_models_bit_equal(&warm.model, &oracle.model, "empty delta");
     }
 }
@@ -170,17 +171,17 @@ proptest! {
 
     /// Any random delta sequence, warm-solved, lands bit-exactly where
     /// `solve_from` lands on the final tensor — growth, inserts, updates,
-    /// CSF on or off.
+    /// tiled or COO layout.
     #[test]
     fn warm_resolve_matches_solve_from_bitwise(
         seed in 0u64..1000,
         n_batches in 1usize..4,
-        use_csf_bit in 0u8..2,
+        tiled_bit in 0u8..2,
     ) {
-        let use_csf = use_csf_bit == 1;
+        let layout = if tiled_bit == 1 { LayoutKind::Tiled } else { LayoutKind::Coo };
         let observed = planted(&[8, 7, 6], 2, 150, seed.wrapping_mul(7).wrapping_add(1));
         let cfg = AdmmConfig {
-            rank: 2, max_iters: 5, tol: 1e-12, use_csf, ..Default::default()
+            rank: 2, max_iters: 5, tol: 1e-12, layout: Some(layout), ..Default::default()
         };
         let mut s = StreamingSolver::new(
             observed, vec![None, None, None], cfg.clone(),
