@@ -15,6 +15,13 @@ DISTENC_THREADS=1 cargo test -q
 echo "==> DISTENC_THREADS=4 cargo test -q"
 DISTENC_THREADS=4 cargo test -q
 
+# The sweeps above run the root package only. The member crates' own
+# unit tests (eigensolver paths and typed errors, env-knob parsing,
+# streaming construction, ...) run here, in release so the dense
+# eigensolver oracles take seconds, not minutes.
+echo "==> cargo test -q --release --workspace --exclude distenc"
+cargo test -q --release --workspace --exclude distenc
+
 # The streaming and live-swap contracts get named gates (they also run in
 # the sweeps above): warm re-solves must be bit-identical to solve_from on
 # the final tensor, and a model publish must never fail a concurrent read.

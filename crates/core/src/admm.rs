@@ -110,14 +110,30 @@ impl AdmmSolver {
     /// carried value is irrelevant because every mode step recomputes it
     /// from `ηA − Y` before any read), so warm state is exactly: factors
     /// plus residual.
+    ///
+    /// `truncated` is [`truncate_all`] of `laplacians` under this
+    /// solver's `eigen_k` and `seed`, computed once by the caller (§III-B:
+    /// `L` never changes, so neither does its eigenbasis) instead of on
+    /// every re-solve. Modes without a Laplacian carry
+    /// [`TruncatedLaplacian::zero`] of the mode's current length.
     pub fn solve_streamed(
         &self,
         observed: &CooTensor,
         laplacians: &[Option<&Laplacian>],
+        truncated: &[TruncatedLaplacian],
         init: Option<&KruskalTensor>,
         carry: Option<ResidualHandoff>,
     ) -> Result<(CompletionResult, ResidualHandoff)> {
         validate_problem(observed, laplacians, &self.cfg)?;
+        if truncated.len() != observed.order()
+            || truncated.iter().zip(observed.shape()).any(|(t, &d)| t.dim() != d)
+        {
+            return Err(CoreError::Invalid(format!(
+                "truncated Laplacians of dimensions {:?} for a tensor of shape {:?}",
+                truncated.iter().map(TruncatedLaplacian::dim).collect::<Vec<_>>(),
+                observed.shape()
+            )));
+        }
         if let Some(m) = init {
             if m.shape() != observed.shape() || m.rank() != self.cfg.rank {
                 return Err(CoreError::Invalid(format!(
@@ -151,9 +167,8 @@ impl AdmmSolver {
                 ));
             }
         }
-        let truncated = truncate_all(observed.shape(), laplacians, &self.cfg)?;
         let start = Instant::now();
-        solve_with_handoff(observed, &truncated, &self.cfg, init.cloned(), carry, |_iter| {
+        solve_with_handoff(observed, truncated, &self.cfg, init.cloned(), carry, |_iter| {
             start.elapsed().as_secs_f64()
         })
     }
@@ -295,24 +310,7 @@ pub(crate) fn validate_problem(
     laplacians: &[Option<&Laplacian>],
     cfg: &AdmmConfig,
 ) -> Result<()> {
-    if laplacians.len() != observed.order() {
-        return Err(CoreError::Invalid(format!(
-            "{} Laplacians for an order-{} tensor",
-            laplacians.len(),
-            observed.order()
-        )));
-    }
-    for (n, lap) in laplacians.iter().enumerate() {
-        if let Some(l) = lap {
-            if l.dim() != observed.shape()[n] {
-                return Err(CoreError::Invalid(format!(
-                    "Laplacian for mode {n} has dimension {}, mode has length {}",
-                    l.dim(),
-                    observed.shape()[n]
-                )));
-            }
-        }
-    }
+    validate_laplacians(observed.shape(), laplacians)?;
     if observed.nnz() == 0 {
         return Err(CoreError::Invalid("observed tensor has no entries".into()));
     }
@@ -326,13 +324,39 @@ pub(crate) fn validate_problem(
     Ok(())
 }
 
+/// One optional Laplacian per mode, each as long as its mode.
+fn validate_laplacians(shape: &[usize], laplacians: &[Option<&Laplacian>]) -> Result<()> {
+    if laplacians.len() != shape.len() {
+        return Err(CoreError::Invalid(format!(
+            "{} Laplacians for an order-{} tensor",
+            laplacians.len(),
+            shape.len()
+        )));
+    }
+    for (n, (lap, &dim)) in laplacians.iter().zip(shape).enumerate() {
+        if let Some(l) = lap {
+            if l.dim() != dim {
+                return Err(CoreError::Invalid(format!(
+                    "Laplacian for mode {n} has dimension {}, mode has length {dim}",
+                    l.dim()
+                )));
+            }
+        }
+    }
+    Ok(())
+}
+
 /// Truncate every provided Laplacian once, up front (§III-B: the
-/// eigendecomposition is precomputed because `L` never changes).
-pub(crate) fn truncate_all(
+/// eigendecomposition is precomputed because `L` never changes), at
+/// `cfg.eigen_k` pairs from Lanczos seed `cfg.seed`; modes without one
+/// get [`TruncatedLaplacian::zero`]. A Laplacian of the wrong length or
+/// with a non-finite weight is a typed error.
+pub fn truncate_all(
     shape: &[usize],
     laplacians: &[Option<&Laplacian>],
     cfg: &AdmmConfig,
 ) -> Result<Vec<TruncatedLaplacian>> {
+    validate_laplacians(shape, laplacians)?;
     shape
         .iter()
         .zip(laplacians)

@@ -41,37 +41,48 @@ pub enum SolverTier {
     },
 }
 
+/// Environment variable holding the solver tier when neither the config
+/// nor the CLI picks one.
+pub const TIER_ENV: &str = "DISTENC_TIER";
+
 impl SolverTier {
-    /// The tier requested by the `DISTENC_TIER` environment variable:
-    /// `exact` (or unset) for [`SolverTier::Exact`];
-    /// `sketched[:SAMPLES[:POLISH]]` for [`SolverTier::Sketched`] (with
-    /// `SAMPLES` defaulting to 4096 draws and `POLISH` to
-    /// [`DEFAULT_POLISH_ITERS`]). Unparseable values fall back to
-    /// `Exact`, mirroring how `DISTENC_THREADS` falls back to the
-    /// sequential backend.
-    pub fn from_env() -> SolverTier {
-        match std::env::var("DISTENC_TIER") {
-            Ok(raw) => SolverTier::parse(&raw),
-            Err(_) => SolverTier::Exact,
+    /// The tier requested by the [`TIER_ENV`] environment variable:
+    /// `Ok(None)` when unset, an error naming the variable when it is set
+    /// to something [`SolverTier::parse`] rejects — a typo must not
+    /// silently change which solver runs.
+    pub fn from_env() -> Result<Option<SolverTier>, String> {
+        match std::env::var(TIER_ENV) {
+            Ok(raw) => SolverTier::parse(&raw).map(Some).map_err(|e| format!("{TIER_ENV}: {e}")),
+            Err(_) => Ok(None),
         }
     }
 
-    /// Parse a `DISTENC_TIER`-style spec (see [`SolverTier::from_env`]).
-    pub fn parse(raw: &str) -> SolverTier {
-        let mut parts = raw.trim().split(':');
-        match parts.next().map(str::trim) {
+    /// Parse a tier spec: `exact` for [`SolverTier::Exact`];
+    /// `sketched[:SAMPLES[:POLISH]]` for [`SolverTier::Sketched`] (with
+    /// `SAMPLES` defaulting to 4096 draws and `POLISH` to
+    /// [`DEFAULT_POLISH_ITERS`]). Unknown names and malformed numbers are
+    /// errors.
+    pub fn parse(raw: &str) -> Result<SolverTier, String> {
+        let bad = || {
+            format!("{raw:?} is not a solver tier (expected exact or sketched[:SAMPLES[:POLISH]])")
+        };
+        let mut parts = raw.trim().split(':').map(str::trim);
+        let tier = match parts.next() {
+            Some("exact") => SolverTier::Exact,
             Some("sketched") => {
-                let samples = parts
-                    .next()
-                    .and_then(|s| s.trim().parse::<usize>().ok())
-                    .unwrap_or(4096);
-                let polish_iters = parts
-                    .next()
-                    .and_then(|s| s.trim().parse::<usize>().ok())
-                    .unwrap_or(DEFAULT_POLISH_ITERS);
+                let mut num = |default| match parts.next() {
+                    Some(s) => s.parse::<usize>().map_err(|_| bad()),
+                    None => Ok(default),
+                };
+                let samples = num(4096)?;
+                let polish_iters = num(DEFAULT_POLISH_ITERS)?;
                 SolverTier::Sketched { samples, polish_iters }
             }
-            _ => SolverTier::Exact,
+            _ => return Err(bad()),
+        };
+        match parts.next() {
+            Some(_) => Err(bad()),
+            None => Ok(tier),
         }
     }
 
@@ -85,9 +96,11 @@ impl Default for SolverTier {
     /// The default comes from the environment (see
     /// [`SolverTier::from_env`]), so `DISTENC_TIER=sketched cargo run`
     /// flips the tier without touching any call site — the same pattern
-    /// `DISTENC_THREADS` uses for the execution backend.
+    /// `DISTENC_THREADS` uses for the execution backend. `Default` cannot
+    /// fail: a malformed value falls back to `Exact` here and is rejected
+    /// by [`AdmmConfig::validate`] before any solve runs.
     fn default() -> Self {
-        SolverTier::from_env()
+        SolverTier::from_env().ok().flatten().unwrap_or(SolverTier::Exact)
     }
 }
 
@@ -294,10 +307,9 @@ impl AdmmConfig {
     /// The residual layout this config selects, with the documented
     /// precedence: an explicit [`AdmmConfig::layout`] wins, else the
     /// `DISTENC_LAYOUT` environment variable (an unknown name is a typed
-    /// error, consistent with `--layout` parsing and unlike
-    /// `DISTENC_TIER`'s silent fallback — a typo must not silently
-    /// change which kernels run), else [`LayoutKind::Tiled`], the
-    /// production default.
+    /// error, consistent with `--layout` parsing — a typo must not
+    /// silently change which kernels run), else [`LayoutKind::Tiled`],
+    /// the production default.
     ///
     /// [`LayoutKind::Tiled`]: distenc_tensor::LayoutKind::Tiled
     pub fn resolved_layout(
@@ -314,8 +326,13 @@ impl AdmmConfig {
     }
 
     /// Sanity-check parameter ranges, returning a description of the first
-    /// violation.
+    /// violation. Also rejects a malformed `DISTENC_THREADS` or
+    /// `DISTENC_TIER`: the env-driven defaults of [`AdmmConfig::exec`] and
+    /// [`AdmmConfig::solver_tier`] cannot fail, so this is where a typo in
+    /// either surfaces, before any solve runs on the fallback.
     pub fn validate(&self) -> std::result::Result<(), String> {
+        distenc_dataflow::ExecMode::from_env()?;
+        SolverTier::from_env()?;
         if self.rank == 0 {
             return Err("rank must be ≥ 1".into());
         }
@@ -393,20 +410,29 @@ mod tests {
 
     #[test]
     fn tier_spec_parses() {
-        assert_eq!(SolverTier::parse("exact"), SolverTier::Exact);
-        assert_eq!(SolverTier::parse("nonsense"), SolverTier::Exact);
+        assert_eq!(SolverTier::parse("exact"), Ok(SolverTier::Exact));
         assert_eq!(
             SolverTier::parse("sketched"),
-            SolverTier::Sketched { samples: 4096, polish_iters: DEFAULT_POLISH_ITERS }
+            Ok(SolverTier::Sketched { samples: 4096, polish_iters: DEFAULT_POLISH_ITERS })
         );
         assert_eq!(
             SolverTier::parse(" sketched:512 "),
-            SolverTier::Sketched { samples: 512, polish_iters: DEFAULT_POLISH_ITERS }
+            Ok(SolverTier::Sketched { samples: 512, polish_iters: DEFAULT_POLISH_ITERS })
         );
         assert_eq!(
             SolverTier::parse("sketched:512:3"),
-            SolverTier::Sketched { samples: 512, polish_iters: 3 }
+            Ok(SolverTier::Sketched { samples: 512, polish_iters: 3 })
         );
+    }
+
+    #[test]
+    fn tier_typos_are_errors() {
+        // Unknown names and malformed numbers used to fall back to
+        // `Exact` silently.
+        for bad in ["nonsense", "sketchd", "", "sketched:many", "sketched:512:3:1", "exact:5"] {
+            let err = SolverTier::parse(bad).unwrap_err();
+            assert!(err.contains("not a solver tier"), "{bad:?}: {err}");
+        }
     }
 
     #[test]

@@ -36,8 +36,8 @@ pub mod objective;
 pub(crate) mod solver;
 pub mod trace;
 
-pub use admm::{AdmmSolver, ResidualHandoff};
-pub use config::{AdmmConfig, CheckpointPolicy, SolverTier, DEFAULT_POLISH_ITERS};
+pub use admm::{truncate_all, AdmmSolver, ResidualHandoff};
+pub use config::{AdmmConfig, CheckpointPolicy, SolverTier, DEFAULT_POLISH_ITERS, TIER_ENV};
 pub use distenc_tensor::{LayoutAccel, LayoutKind};
 pub use distenc::DisTenC;
 pub use model::{MethodModel, RunOutcome, WorkloadSpec};

@@ -31,18 +31,39 @@ pub enum ExecMode {
     Threads(usize),
 }
 
+/// Environment variable holding the host thread count when neither the
+/// config nor the CLI picks one.
+pub const THREADS_ENV: &str = "DISTENC_THREADS";
+
 impl ExecMode {
-    /// Read the mode from the `DISTENC_THREADS` environment variable:
-    /// unset, unparsable, `0`, or `1` mean [`ExecMode::Sequential`];
-    /// `n ≥ 2` means [`ExecMode::Threads`]`(n)`. This is how CI runs the
+    /// The mode for a thread count: `0` or `1` mean
+    /// [`ExecMode::Sequential`], `n ≥ 2` means [`ExecMode::Threads`]`(n)`.
+    pub fn from_thread_count(n: usize) -> ExecMode {
+        if n >= 2 {
+            ExecMode::Threads(n)
+        } else {
+            ExecMode::Sequential
+        }
+    }
+
+    /// Parse a thread count (see [`ExecMode::from_thread_count`]). Anything
+    /// that is not a non-negative integer is an error, never a silent
+    /// fallback to the sequential backend.
+    pub fn parse(raw: &str) -> Result<ExecMode, String> {
+        raw.trim()
+            .parse::<usize>()
+            .map(ExecMode::from_thread_count)
+            .map_err(|_| format!("{raw:?} is not a thread count (expected an integer ≥ 0)"))
+    }
+
+    /// The mode requested by the [`THREADS_ENV`] environment variable:
+    /// `Ok(None)` when unset, an error naming the variable when it is set
+    /// to something [`ExecMode::parse`] rejects. This is how CI runs the
     /// whole test suite under both backends without touching any test.
-    pub fn from_env() -> ExecMode {
-        match std::env::var("DISTENC_THREADS")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-        {
-            Some(n) if n >= 2 => ExecMode::Threads(n),
-            _ => ExecMode::Sequential,
+    pub fn from_env() -> Result<Option<ExecMode>, String> {
+        match std::env::var(THREADS_ENV) {
+            Ok(raw) => ExecMode::parse(&raw).map(Some).map_err(|e| format!("{THREADS_ENV}: {e}")),
+            Err(_) => Ok(None),
         }
     }
 
@@ -57,10 +78,13 @@ impl ExecMode {
 
 /// The default mode comes from the environment (see
 /// [`ExecMode::from_env`]), so `DISTENC_THREADS=4 cargo test` exercises
-/// the threaded backend across the entire suite.
+/// the threaded backend across the entire suite. `Default` cannot fail:
+/// a malformed value falls back to [`ExecMode::Sequential`] here and is
+/// rejected where a solve is configured (`AdmmConfig::validate` in
+/// `distenc-core`, and the CLI).
 impl Default for ExecMode {
     fn default() -> Self {
-        ExecMode::from_env()
+        ExecMode::from_env().ok().flatten().unwrap_or(ExecMode::Sequential)
     }
 }
 
@@ -202,6 +226,18 @@ mod tests {
         assert_eq!(ExecMode::Threads(0).threads(), 1);
         assert_eq!(ExecMode::Threads(1).threads(), 1);
         assert_eq!(ExecMode::Threads(6).threads(), 6);
+    }
+
+    #[test]
+    fn thread_counts_parse_and_typos_are_errors() {
+        assert_eq!(ExecMode::parse("4"), Ok(ExecMode::Threads(4)));
+        assert_eq!(ExecMode::parse(" 2 "), Ok(ExecMode::Threads(2)));
+        assert_eq!(ExecMode::parse("1"), Ok(ExecMode::Sequential));
+        assert_eq!(ExecMode::parse("0"), Ok(ExecMode::Sequential));
+        for bad in ["four", "", "-2", "2.5"] {
+            let err = ExecMode::parse(bad).unwrap_err();
+            assert!(err.contains("not a thread count"), "{bad:?}: {err}");
+        }
     }
 
     #[test]

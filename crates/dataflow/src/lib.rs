@@ -48,7 +48,7 @@ static COUNTING_ALLOCATOR: alloc::CountingAllocator = alloc::CountingAllocator;
 pub use cluster::{Cluster, MemoryReservation, Metrics};
 pub use config::{ClusterConfig, CostModel, Platform};
 pub use dist::{Broadcast, Dist};
-pub use exec::{even_ranges, ExecMode, Executor};
+pub use exec::{even_ranges, ExecMode, Executor, THREADS_ENV};
 pub use fault::{Fault, FaultPlan};
 
 /// Errors surfaced by the engine. `OutOfMemory` and `OutOfTime` are

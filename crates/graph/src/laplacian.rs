@@ -2,7 +2,7 @@
 
 use crate::sparse::SparseSym;
 use distenc_linalg::{
-    jacobi_eigen, lanczos_smallest, LinOp, Mat, Result as LinResult,
+    jacobi_eigen, lanczos_smallest, LinOp, LinalgError, Mat, Result as LinResult,
 };
 
 /// The (unnormalized) graph Laplacian `L = D − S` of a similarity matrix,
@@ -119,9 +119,18 @@ impl Laplacian {
     /// unions of blocks.
     pub fn truncate(&self, k: usize, seed: u64) -> LinResult<TruncatedLaplacian> {
         const DENSE_COMPONENT: usize = 200;
+        self.check_finite()?;
         let n = self.dim();
         let k = k.min(n);
         let comps = self.similarity.components();
+        // Global → component-local index, built once: every component's
+        // dense block and matrix-free operator reads it.
+        let mut local = vec![0; n];
+        for comp in &comps {
+            for (l, &node) in comp.iter().enumerate() {
+                local[node] = l;
+            }
+        }
         // Collect candidate eigenpairs: up to k smallest per component.
         let mut pairs: Vec<(f64, Vec<(usize, f64)>)> = Vec::new();
         for comp in &comps {
@@ -130,13 +139,12 @@ impl Laplacian {
                 pairs.push((0.0, vec![(comp[0], 1.0)]));
                 continue;
             }
-            let sub = self.component_laplacian(comp);
             let k_local = k.min(comp.len());
             let (values, vectors) = if comp.len() <= DENSE_COMPONENT {
-                let full = jacobi_eigen(&sub)?;
+                let full = jacobi_eigen(&self.component_laplacian(comp, &local))?;
                 (full.values, full.vectors)
             } else {
-                let op = ComponentOp { lap: self, nodes: comp };
+                let op = ComponentOp { lap: self, nodes: comp, local: &local };
                 lanczos_smallest(&op, k_local, seed)?
             };
             for (j, &lam) in values.iter().take(k_local).enumerate() {
@@ -148,7 +156,7 @@ impl Laplacian {
                 pairs.push((lam, entries));
             }
         }
-        pairs.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+        pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
         pairs.truncate(k);
         let mut values = Vec::with_capacity(pairs.len());
         let mut vectors = Mat::zeros(n, pairs.len());
@@ -178,26 +186,42 @@ impl Laplacian {
     }
 
     /// Dense Laplacian of one connected component (rows/cols restricted
-    /// to `nodes`, which must be sorted).
-    fn component_laplacian(&self, nodes: &[usize]) -> Mat {
-        let map: std::collections::BTreeMap<usize, usize> =
-            nodes.iter().enumerate().map(|(local, &node)| (node, local)).collect();
+    /// to `nodes`; `local` maps each node to its position in `nodes`).
+    fn component_laplacian(&self, nodes: &[usize], local: &[usize]) -> Mat {
         let mut m = Mat::zeros(nodes.len(), nodes.len());
-        for (local, &node) in nodes.iter().enumerate() {
-            m.set(local, local, self.degrees[node]);
+        for (li, &node) in nodes.iter().enumerate() {
+            m.set(li, li, self.degrees[node]);
             let (cols, vals) = self.similarity.row(node);
             for (&j, &s) in cols.iter().zip(vals) {
-                let lj = map[&j]; // neighbours stay within the component
-                let cur = m.get(local, lj);
-                m.set(local, lj, cur - s);
+                let lj = local[j]; // neighbours stay within the component
+                let cur = m.get(li, lj);
+                m.set(li, lj, cur - s);
             }
         }
         m
     }
 
+    /// Reject a NaN or infinite similarity weight (or degree) before any
+    /// eigensolve runs on it: the eigensolvers would otherwise burn their
+    /// whole iteration budget and report a misleading non-convergence.
+    fn check_finite(&self) -> LinResult<()> {
+        for i in 0..self.dim() {
+            let (cols, vals) = self.similarity.row(i);
+            if let Some((&col, &value)) = cols.iter().zip(vals).find(|(_, v)| !v.is_finite()) {
+                return Err(LinalgError::NonFinite { what: "similarity", row: i, col, value });
+            }
+            let value = self.degrees[i];
+            if !value.is_finite() {
+                return Err(LinalgError::NonFinite { what: "degree", row: i, col: i, value });
+            }
+        }
+        Ok(())
+    }
+
     /// Exact dense path: full Jacobi eigendecomposition, keep the `k`
     /// smallest eigenpairs.
     pub fn truncate_dense(&self, k: usize) -> LinResult<TruncatedLaplacian> {
+        self.check_finite()?;
         let full = jacobi_eigen(&self.to_dense())?;
         let n = self.dim();
         let k = k.min(n);
@@ -217,6 +241,7 @@ impl Laplacian {
     /// in `O(k·(nnz(S) + I·k))` — the `O(K·I)` profile the paper assumes
     /// for its truncated eigensolver.
     pub fn truncate_lanczos(&self, k: usize, seed: u64) -> LinResult<TruncatedLaplacian> {
+        self.check_finite()?;
         let (values, vectors) = lanczos_smallest(self, k.max(1), seed)?;
         Ok(TruncatedLaplacian::new(values, vectors, self.trace()))
     }
@@ -239,6 +264,8 @@ impl Laplacian {
 struct ComponentOp<'a> {
     lap: &'a Laplacian,
     nodes: &'a [usize],
+    /// Global → component-local index (see [`Laplacian::truncate`]).
+    local: &'a [usize],
 }
 
 impl LinOp for ComponentOp<'_> {
@@ -247,19 +274,13 @@ impl LinOp for ComponentOp<'_> {
     }
 
     fn apply(&self, x: &[f64], out: &mut [f64]) {
-        let map: std::collections::BTreeMap<usize, usize> = self
-            .nodes
-            .iter()
-            .enumerate()
-            .map(|(local, &node)| (node, local))
-            .collect();
-        for (local, &node) in self.nodes.iter().enumerate() {
-            let mut acc = self.lap.degrees[node] * x[local];
+        for (o, (&node, &xi)) in out.iter_mut().zip(self.nodes.iter().zip(x)) {
+            let mut acc = self.lap.degrees[node] * xi;
             let (cols, vals) = self.lap.similarity.row(node);
             for (&j, &s) in cols.iter().zip(vals) {
-                acc -= s * x[map[&j]];
+                acc -= s * x[self.local[j]];
             }
-            out[local] = acc;
+            *o = acc;
         }
     }
 }
@@ -670,6 +691,82 @@ mod tests {
                 .collect();
             assert_eq!(nonzero_blocks.len(), 1, "eigenvector {j} spans {nonzero_blocks:?}");
         }
+    }
+
+    #[test]
+    fn lanczos_components_with_non_contiguous_ids_match_dense() {
+        // Two interleaved components over 200 nodes each (even and odd
+        // ids), so each one takes the Lanczos path through the global →
+        // local index map, plus isolated nodes after them. Each component
+        // is five dense rings joined by weak bridges: five small
+        // eigenvalues well below the bulk, which Lanczos resolves.
+        let (size, rings, isolated) = (205, 5, 3);
+        let ring = size / rings;
+        let n = 2 * size + isolated;
+        let mut triplets = Vec::new();
+        for c in 0..2 {
+            let id = |local: usize| 2 * local + c;
+            for q in 0..rings {
+                for a in 0..ring {
+                    for d in 1..=6 {
+                        triplets.push((id(q * ring + a), id(q * ring + (a + d) % ring), 1.0));
+                    }
+                }
+                if q + 1 < rings {
+                    let bridge = 0.05 * (c + 1) as f64;
+                    triplets.push((id(q * ring + ring - 1), id((q + 1) * ring), bridge));
+                }
+            }
+        }
+        let lap = Laplacian::from_similarity(crate::sparse::SparseSym::from_triplets(n, &triplets));
+        let comps = lap.similarity().components();
+        assert_eq!(comps.len(), 2 + isolated);
+        assert!(comps.iter().filter(|c| c.len() > 200).count() == 2);
+        let k = 10;
+        let dense = lap.truncate_dense(k).unwrap();
+        let lz = lap.truncate(k, 5).unwrap();
+        // The isolated nodes' zero eigenvalues lead; the rest come from
+        // the two Lanczos runs. Same tolerances as
+        // `lanczos_truncation_close_to_dense_on_small_eigenvalues`.
+        assert_eq!(lz.k(), k);
+        for (a, b) in dense.values.iter().zip(&lz.values) {
+            assert!((a - b).abs() < 0.05, "{a} vs {b}");
+        }
+        let rhs = Mat::random(n, 2, 3);
+        let (eta, alpha) = (1.0, 1.0);
+        let via_dense = dense.apply_shifted_inverse(eta, alpha, &rhs).unwrap();
+        let via_lz = lz.apply_shifted_inverse(eta, alpha, &rhs).unwrap();
+        let rel = via_dense.frob_dist(&via_lz).unwrap() / via_dense.frob_norm();
+        assert!(rel < 0.05, "application deviates by {rel}");
+    }
+
+    /// A chain whose edge (5, 6) carries `bad`.
+    fn chain_with_weight(n: usize, bad: f64) -> Laplacian {
+        let triplets: Vec<(usize, usize, f64)> =
+            (0..n - 1).map(|i| (i, i + 1, if i == 5 { bad } else { 1.0 })).collect();
+        Laplacian::from_similarity(crate::sparse::SparseSym::from_triplets(n, &triplets))
+    }
+
+    #[test]
+    fn non_finite_weight_is_a_typed_error_before_any_eigensolve() {
+        // 30 nodes take the dense Jacobi path, 260 the Lanczos one; both
+        // used to run a full eigensolve and report non-convergence.
+        for n in [30, 260] {
+            for bad in [f64::NAN, f64::INFINITY] {
+                let lap = chain_with_weight(n, bad);
+                let checks = [lap.truncate(8, 1), lap.truncate_lanczos(8, 1)];
+                for err in checks.into_iter().map(Result::unwrap_err) {
+                    match err {
+                        LinalgError::NonFinite { what: "similarity", row: 5, col: 6, value } => {
+                            assert_eq!(value.is_nan(), bad.is_nan(), "n={n}")
+                        }
+                        other => panic!("n={n}, weight {bad}: unexpected {other:?}"),
+                    }
+                }
+            }
+        }
+        let err = chain_with_weight(30, f64::NAN).truncate_dense(8).unwrap_err();
+        assert!(err.to_string().contains("non-finite similarity entry (5, 6)"), "{err}");
     }
 
     #[test]

@@ -73,8 +73,8 @@ pub fn jacobi_eigen(a: &Mat) -> Result<EigenPairs> {
             let mut values: Vec<f64> = (0..n).map(|i| m.get(i, i)).collect();
             // Sort ascending, permuting eigenvector columns alongside.
             let mut order: Vec<usize> = (0..n).collect();
-            order.sort_by(|&x, &y| values[x].partial_cmp(&values[y]).unwrap());
-            values.sort_by(|x, y| x.partial_cmp(y).unwrap());
+            order.sort_by(|&x, &y| values[x].total_cmp(&values[y]));
+            values.sort_by(f64::total_cmp);
             let mut vectors = Mat::zeros(n, n);
             for (dst, &src) in order.iter().enumerate() {
                 for i in 0..n {

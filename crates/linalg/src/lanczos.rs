@@ -1,4 +1,3 @@
-#![allow(clippy::manual_memcpy)] // explicit loops keep the basis-embedding offsets visible
 //! Truncated eigendecomposition via Lanczos with full reorthogonalization.
 //!
 //! DisTenC never needs the full spectrum of a graph Laplacian: §III-B
@@ -64,8 +63,10 @@ pub fn lanczos_smallest<O: LinOp>(op: &O, k: usize, seed: u64) -> Result<(Vec<f6
     let m = n.min((4 * k + 60).max(8 * k));
 
     let mut rng = StdRng::seed_from_u64(seed);
-    // Lanczos basis vectors, kept dense for full reorthogonalization.
-    let mut basis: Vec<Vec<f64>> = Vec::with_capacity(m);
+    // Lanczos basis vectors, one contiguous row of length `n` each, kept
+    // dense for full reorthogonalization. The rows become `tqli`'s
+    // accumulator as they are.
+    let mut basis: Vec<f64> = Vec::with_capacity(m * n);
     let mut q: Vec<f64> = (0..n).map(|_| rng.random::<f64>() - 0.5).collect();
     normalize(&mut q);
 
@@ -74,7 +75,7 @@ pub fn lanczos_smallest<O: LinOp>(op: &O, k: usize, seed: u64) -> Result<(Vec<f6
     let mut w = vec![0.0; n];
 
     for _ in 0..m {
-        basis.push(q.clone());
+        basis.extend_from_slice(&q);
         op.apply(&q, &mut w);
         let a = dot(&q, &w);
         alpha.push(a);
@@ -82,7 +83,7 @@ pub fn lanczos_smallest<O: LinOp>(op: &O, k: usize, seed: u64) -> Result<(Vec<f6
         // whole basis (twice is enough in practice — "twice is enough",
         // Parlett).
         for _ in 0..2 {
-            for b in &basis {
+            for b in basis.chunks_exact(n) {
                 let proj = dot(b, &w);
                 axpy(-proj, b, &mut w);
             }
@@ -93,12 +94,12 @@ pub fn lanczos_smallest<O: LinOp>(op: &O, k: usize, seed: u64) -> Result<(Vec<f6
             // orthogonal to the basis (needed for operators with eigenvalue
             // multiplicity, e.g. the identity); a zero β decouples the new
             // block in the tridiagonal matrix, which tqli handles natively.
-            if basis.len() == n {
+            if alpha.len() == n {
                 break;
             }
             let mut fresh: Vec<f64> = (0..n).map(|_| rng.random::<f64>() - 0.5).collect();
             for _ in 0..2 {
-                for base in &basis {
+                for base in basis.chunks_exact(n) {
                     let proj = dot(base, &fresh);
                     axpy(-proj, base, &mut fresh);
                 }
@@ -119,28 +120,21 @@ pub fn lanczos_smallest<O: LinOp>(op: &O, k: usize, seed: u64) -> Result<(Vec<f6
         return Err(LinalgError::NoConvergence { method: "lanczos", iters: steps });
     }
 
-    // Solve the tridiagonal problem, rotating the Lanczos basis so columns
-    // of `z` become Ritz vectors in the original space.
-    let mut z = Mat::zeros(n, steps);
-    for (j, b) in basis.iter().enumerate() {
-        for i in 0..n {
-            z.set(i, j, b[i]);
-        }
-    }
-    let mut d = alpha.clone();
+    // Solve the tridiagonal problem, rotating the Lanczos basis so rows of
+    // `z` become Ritz vectors in the original space.
+    let mut z = Mat::from_vec(steps, n, basis);
+    let mut d = alpha;
     let mut e = vec![0.0; steps];
-    for i in 1..steps {
-        e[i] = beta[i - 1];
-    }
+    e[1..].copy_from_slice(&beta[..steps - 1]);
     tqli(&mut d, &mut e, &mut z)?;
 
     let mut order: Vec<usize> = (0..steps).collect();
-    order.sort_by(|&a, &b| d[a].partial_cmp(&d[b]).unwrap());
+    order.sort_by(|&a, &b| d[a].total_cmp(&d[b]));
     let values: Vec<f64> = order.iter().take(k).map(|&i| d[i]).collect();
     let mut vectors = Mat::zeros(n, k);
     for (dst, &src) in order.iter().take(k).enumerate() {
-        for i in 0..n {
-            vectors.set(i, dst, z.get(i, src));
+        for (i, &v) in z.row(src).iter().enumerate() {
+            vectors.set(i, dst, v);
         }
     }
     Ok((values, vectors))

@@ -65,6 +65,17 @@ pub enum LinalgError {
     },
     /// An argument was out of the accepted domain (e.g. `k > n` eigenpairs).
     InvalidArgument(String),
+    /// An input matrix holds a NaN or infinite entry.
+    NonFinite {
+        /// Which matrix or operation rejected it.
+        what: &'static str,
+        /// Row of the offending entry.
+        row: usize,
+        /// Column of the offending entry.
+        col: usize,
+        /// The offending value.
+        value: f64,
+    },
 }
 
 impl std::fmt::Display for LinalgError {
@@ -80,6 +91,9 @@ impl std::fmt::Display for LinalgError {
                 write!(f, "{method} did not converge after {iters} iterations")
             }
             LinalgError::InvalidArgument(msg) => write!(f, "invalid argument: {msg}"),
+            LinalgError::NonFinite { what, row, col, value } => {
+                write!(f, "non-finite {what} entry ({row}, {col}) = {value}")
+            }
         }
     }
 }

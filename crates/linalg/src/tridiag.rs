@@ -1,10 +1,9 @@
-#![allow(clippy::manual_memcpy)] // explicit loops keep the rotation index arithmetic visible
 //! Symmetric tridiagonal eigensolver (implicit-shift QL).
 //!
 //! This is the classic `tqli` algorithm: given diagonal `d` and
-//! off-diagonal `e`, it computes all eigenvalues and (optionally) rotates an
-//! accumulator matrix `z` so its columns become eigenvectors in the original
-//! basis. Lanczos reduces the Laplacian to this form; `tqli` finishes it.
+//! off-diagonal `e`, it computes all eigenvalues and rotates an accumulator
+//! matrix `z` so its rows become eigenvectors in the original basis.
+//! Lanczos reduces the Laplacian to this form; `tqli` finishes it.
 
 use crate::{LinalgError, Mat, Result};
 
@@ -15,16 +14,19 @@ use crate::{LinalgError, Mat, Result};
 /// * `e` — sub-diagonal entries, length `n` with `e[0]` unused (matching
 ///   the classic Numerical-Recipes convention: `e[i]` couples rows `i-1`
 ///   and `i`); destroyed.
-/// * `z` — an `n × n` accumulator; pass the identity to obtain tridiagonal
-///   eigenvectors, or a Lanczos basis `Q` to obtain eigenvectors of the
-///   original operator. Columns are rotated in place.
+/// * `z` — an accumulator with one **row** per tridiagonal index; pass the
+///   identity to obtain tridiagonal eigenvectors, or the Lanczos basis
+///   (one row per Lanczos vector, `n × dim`) to obtain eigenvectors of the
+///   original operator. Row `i` ends up as the eigenvector of `d[i]`.
+///   Each plane rotation updates two contiguous rows in place, so the
+///   rotations stream memory however wide the accumulator is.
 pub fn tqli(d: &mut [f64], e: &mut [f64], z: &mut Mat) -> Result<()> {
     let n = d.len();
-    if e.len() != n || z.cols() != n {
+    if e.len() != n || z.rows() != n {
         return Err(LinalgError::ShapeMismatch {
             op: "tqli",
             lhs: (n, 1),
-            rhs: (e.len(), z.cols()),
+            rhs: (e.len(), z.rows()),
         });
     }
     if n == 0 {
@@ -35,6 +37,7 @@ pub fn tqli(d: &mut [f64], e: &mut [f64], z: &mut Mat) -> Result<()> {
         e[i - 1] = e[i];
     }
     e[n - 1] = 0.0;
+    let width = z.cols();
 
     for l in 0..n {
         let mut iter = 0;
@@ -63,7 +66,7 @@ pub fn tqli(d: &mut [f64], e: &mut [f64], z: &mut Mat) -> Result<()> {
             let mut p = 0.0;
             // A sequence of plane rotations chasing the bulge.
             for i in (l..m).rev() {
-                let mut f = s * e[i];
+                let f = s * e[i];
                 let b = c * e[i];
                 r = f.hypot(g);
                 e[i + 1] = r;
@@ -79,11 +82,13 @@ pub fn tqli(d: &mut [f64], e: &mut [f64], z: &mut Mat) -> Result<()> {
                 p = s * r;
                 d[i + 1] = g + p;
                 g = c * r - b;
-                // Accumulate the rotation into z's columns i and i+1.
-                for k in 0..z.rows() {
-                    f = z.get(k, i + 1);
-                    z.set(k, i + 1, s * z.get(k, i) + c * f);
-                    z.set(k, i, c * z.get(k, i) - s * f);
+                // Accumulate the rotation into z's rows i and i+1.
+                let (head, tail) = z.as_mut_slice().split_at_mut((i + 1) * width);
+                let zi = &mut head[i * width..];
+                for (lo, hi) in zi.iter_mut().zip(&mut tail[..width]) {
+                    let (x, y) = (*lo, *hi);
+                    *hi = s * x + c * y;
+                    *lo = c * x - s * y;
                 }
             }
             if r == 0.0 && m > l + 1 {
@@ -115,19 +120,17 @@ pub fn tridiag_eigen(diag: &[f64], off: &[f64]) -> Result<(Vec<f64>, Mat)> {
     let mut d = diag.to_vec();
     // Convert to the tqli convention: e[i] couples i-1 and i.
     let mut e = vec![0.0; n];
-    for i in 1..n {
-        e[i] = off[i - 1];
-    }
+    e[1..].copy_from_slice(off);
     let mut z = Mat::identity(n);
     tqli(&mut d, &mut e, &mut z)?;
-    // Sort ascending, permuting columns.
+    // Sort ascending; row `src` of `z` becomes column `dst` of `vectors`.
     let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| d[a].partial_cmp(&d[b]).unwrap());
+    order.sort_by(|&a, &b| d[a].total_cmp(&d[b]));
     let values: Vec<f64> = order.iter().map(|&i| d[i]).collect();
     let mut vectors = Mat::zeros(n, n);
     for (dst, &src) in order.iter().enumerate() {
-        for i in 0..n {
-            vectors.set(i, dst, z.get(i, src));
+        for (i, &v) in z.row(src).iter().enumerate() {
+            vectors.set(i, dst, v);
         }
     }
     Ok((values, vectors))

@@ -1,8 +1,10 @@
 //! The streaming solver: delta application + warm re-solves.
 
 use crate::delta::{DeltaBatch, StreamError};
-use distenc_core::{AdmmConfig, AdmmSolver, CompletionResult, DisTenC, ResidualHandoff};
-use distenc_graph::Laplacian;
+use distenc_core::{
+    truncate_all, AdmmConfig, AdmmSolver, CompletionResult, DisTenC, ResidualHandoff,
+};
+use distenc_graph::{Laplacian, TruncatedLaplacian};
 use distenc_linalg::Mat;
 use distenc_tensor::{CooTensor, KruskalTensor};
 
@@ -39,6 +41,11 @@ fn growth_seed(base: u64, mode: usize, old_rows: usize) -> u64 {
 ///   ([`StreamingSolver::set_budget`]). New slice indices get seeded
 ///   random rows (deterministic in the config seed, the mode, and the
 ///   pre-growth dimension — see the module source) so replays reproduce.
+/// * Every Laplacian is truncated once, in `new` (§III-B), and every host
+///   re-solve reuses the eigenbasis. That stays exact for the solver's
+///   whole life: the truncation depends only on the graph, `eigen_k` and
+///   `seed`; modes with a Laplacian cannot grow; and `set_budget` changes
+///   only the iteration cap and tolerance.
 /// * Validation is atomic: a rejected batch leaves the solver untouched.
 ///
 /// The host backend is used by `solve`; [`StreamingSolver::solve_distributed`]
@@ -50,6 +57,8 @@ pub struct StreamingSolver {
     cfg: AdmmConfig,
     solver: AdmmSolver,
     laplacians: Vec<Option<Laplacian>>,
+    /// `truncate_all` of `laplacians`, computed once in `new`.
+    truncated: Vec<TruncatedLaplacian>,
     observed: CooTensor,
     model: Option<KruskalTensor>,
     carry: Option<ResidualHandoff>,
@@ -59,25 +68,24 @@ pub struct StreamingSolver {
 impl StreamingSolver {
     /// Create a streaming solver over an initial observation set.
     /// `laplacians[n]` is mode `n`'s optional similarity Laplacian; modes
-    /// with one cannot grow (see [`StreamError::GrowthWithAux`]).
+    /// with one cannot grow (see [`StreamError::GrowthWithAux`]). The
+    /// Laplacians are truncated here, once, so a wrong number of them, one
+    /// of the wrong length or one with a non-finite weight fails
+    /// construction.
     pub fn new(
         mut observed: CooTensor,
         laplacians: Vec<Option<Laplacian>>,
         cfg: AdmmConfig,
     ) -> crate::Result<Self> {
-        if laplacians.len() != observed.order() {
-            return Err(StreamError::BadBatch(format!(
-                "{} Laplacians for an order-{} tensor",
-                laplacians.len(),
-                observed.order()
-            )));
-        }
         let solver = AdmmSolver::new(cfg.clone())?;
+        let laps: Vec<Option<&Laplacian>> = laplacians.iter().map(Option::as_ref).collect();
+        let truncated = truncate_all(observed.shape(), &laps, &cfg)?;
         observed.sort_dedup();
         Ok(StreamingSolver {
             cfg,
             solver,
             laplacians,
+            truncated,
             observed,
             model: None,
             carry: None,
@@ -152,6 +160,13 @@ impl StreamingSolver {
         let new_shape = batch.new_shape();
         if batch.growth().iter().any(|&g| g > 0) {
             self.observed.grow_shape(&new_shape)?;
+            // Only modes without a Laplacian grow: their zero truncation
+            // just follows the new length.
+            for (mode, &g) in batch.growth().iter().enumerate() {
+                if g > 0 {
+                    self.truncated[mode] = TruncatedLaplacian::zero(new_shape[mode]);
+                }
+            }
             if let Some(c) = &mut self.carry {
                 c.e.grow_shape(&new_shape)?;
             }
@@ -209,9 +224,13 @@ impl StreamingSolver {
     /// bit-identical to [`AdmmSolver::solve_from`] on the current tensor.
     pub fn solve(&mut self) -> crate::Result<CompletionResult> {
         let laps: Vec<Option<&Laplacian>> = self.laplacians.iter().map(|l| l.as_ref()).collect();
-        let (result, handoff) =
-            self.solver
-                .solve_streamed(&self.observed, &laps, self.model.as_ref(), self.carry.take())?;
+        let (result, handoff) = self.solver.solve_streamed(
+            &self.observed,
+            &laps,
+            &self.truncated,
+            self.model.as_ref(),
+            self.carry.take(),
+        )?;
         self.model = Some(result.model.clone());
         self.carry = Some(handoff);
         self.generation += 1;
@@ -292,6 +311,32 @@ mod tests {
             StreamingSolver::new(observed, vec![None, Some(lap), None], cfg(2)).unwrap();
         let b = DeltaBatch::try_new(&[6, 5, 4], &[0, 1, 0], vec![], vec![]).unwrap();
         assert_eq!(s.apply(&b).unwrap_err(), StreamError::GrowthWithAux { mode: 1 });
+    }
+
+    #[test]
+    fn new_rejects_a_bad_graph() {
+        use distenc_core::CoreError;
+        use distenc_graph::SparseSym;
+        use distenc_linalg::LinalgError;
+        let observed = planted(&[6, 5, 4], 2, 40, 7);
+        let nan = Laplacian::from_similarity(SparseSym::from_triplets(
+            5,
+            &[(0, 1, 1.0), (1, 2, f64::NAN), (2, 3, 1.0)],
+        ));
+        let err = StreamingSolver::new(observed.clone(), vec![None, Some(nan), None], cfg(2))
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                StreamError::Core(CoreError::Linalg(LinalgError::NonFinite { row: 1, col: 2, .. }))
+            ),
+            "{err:?}"
+        );
+        let wrong_len = Laplacian::from_similarity(SparseSym::from_triplets(7, &[(0, 1, 1.0)]));
+        for laps in [vec![None, Some(wrong_len), None], vec![None, None]] {
+            let err = StreamingSolver::new(observed.clone(), laps, cfg(2)).unwrap_err();
+            assert!(matches!(err, StreamError::Core(CoreError::Invalid(_))), "{err:?}");
+        }
     }
 
     #[test]

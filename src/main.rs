@@ -230,10 +230,12 @@ fn cmd_complete(args: &[String]) -> Result<(), String> {
     let observed = io::read_coo_file(input).map_err(|e| e.to_string())?;
 
     // --sketched [--samples N] [--polish P] selects the sampled solver
-    // tier; without the flag the DISTENC_TIER-driven default applies
-    // (and --samples/--polish refine it when that default is sketched).
+    // tier; without the flag DISTENC_TIER applies (and --samples/--polish
+    // refine it when it names the sketched tier). A malformed value is an
+    // error naming the variable.
     let solver_tier = {
-        let default = distenc::core::SolverTier::default();
+        let default =
+            distenc::core::SolverTier::from_env()?.unwrap_or(distenc::core::SolverTier::Exact);
         if opts.contains_key("sketched") || default.is_sketched() {
             let (mut samples, mut polish_iters) = match default {
                 distenc::core::SolverTier::Sketched { samples, polish_iters } => {
@@ -273,14 +275,7 @@ fn cmd_complete(args: &[String]) -> Result<(), String> {
         eigen_k: opts.get("eigen-k").map_or(Ok(20), |s| parse_num(s, "eigen-k"))?,
         seed: opts.get("seed").map_or(Ok(42), |s| parse_num(s, "seed"))?,
         nonneg: opts.contains_key("nonneg"),
-        exec: match opts.get("threads") {
-            Some(s) => match parse_num::<usize>(s, "threads")? {
-                n if n >= 2 => distenc_dataflow::ExecMode::Threads(n),
-                _ => distenc_dataflow::ExecMode::Sequential,
-            },
-            // Unset: inherit the DISTENC_THREADS-driven default.
-            None => distenc_dataflow::ExecMode::default(),
-        },
+        exec: parse_exec(&opts)?,
         ..Default::default()
     };
 
@@ -321,6 +316,16 @@ fn parse_similarities(
     Ok(laps)
 }
 
+/// `--threads N`, else `DISTENC_THREADS`, else sequential. A malformed
+/// `DISTENC_THREADS` is an error naming the variable.
+fn parse_exec(opts: &BTreeMap<String, String>) -> Result<distenc_dataflow::ExecMode, String> {
+    use distenc_dataflow::ExecMode;
+    match opts.get("threads") {
+        Some(s) => Ok(ExecMode::from_thread_count(parse_num(s, "threads")?)),
+        None => Ok(ExecMode::from_env()?.unwrap_or(ExecMode::Sequential)),
+    }
+}
+
 /// `--checkpoint FILE [--checkpoint-every N]` (default cadence 5).
 fn parse_checkpoint(
     opts: &BTreeMap<String, String>,
@@ -354,13 +359,7 @@ fn cmd_resume(args: &[String]) -> Result<(), String> {
         .map(|s| parse_num(s, "checkpoint-every"))
         .transpose()?
         .map(|every| CheckpointPolicy::every(every).with_path(ckpt_path));
-    cfg.exec = match opts.get("threads") {
-        Some(s) => match parse_num::<usize>(s, "threads")? {
-            n if n >= 2 => distenc_dataflow::ExecMode::Threads(n),
-            _ => distenc_dataflow::ExecMode::Sequential,
-        },
-        None => distenc_dataflow::ExecMode::default(),
-    };
+    cfg.exec = parse_exec(&opts)?;
     cfg.layout = parse_layout(&opts)?;
 
     let laps = parse_similarities(&opts, observed.order())?;

@@ -83,6 +83,35 @@ fn non_finite_input_exits_nonzero_and_writes_no_model() {
 }
 
 #[test]
+fn mistyped_env_knobs_exit_nonzero_naming_the_variable() {
+    // These used to fall back silently: `sketchd` ran the exact tier and
+    // `four` ran sequentially.
+    let data = tmp("envknob.tns");
+    std::fs::write(&data, "# shape: 3 3 2\n0 0 0 1.0\n1 2 1 0.5\n2 1 0 0.25\n").unwrap();
+    for (var, value) in [("DISTENC_TIER", "sketchd"), ("DISTENC_THREADS", "four")] {
+        for cmd in ["complete", "stream"] {
+            let model = tmp(&format!("envknob-{cmd}-{var}.kruskal"));
+            let _ = std::fs::remove_file(&model);
+            let mut run = bin();
+            run.args([cmd, "--input", data.to_str().unwrap(), "--rank", "2"])
+                .args(["--out", model.to_str().unwrap()])
+                .env(var, value);
+            if cmd == "stream" {
+                run.args(["--delta", data.to_str().unwrap()]);
+            }
+            let out = run.output().unwrap();
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(!out.status.success(), "{cmd} with {var}={value} must fail");
+            assert!(
+                stderr.contains(var) && stderr.contains(value),
+                "{cmd}: the error must name {var}, got: {stderr}"
+            );
+            assert!(!model.exists(), "{cmd}: no model may be written");
+        }
+    }
+}
+
+#[test]
 fn helpful_errors() {
     // No command.
     let out = bin().output().unwrap();

@@ -7,7 +7,9 @@
 //!    [`StreamingSolver::solve`] must be *bit-identical* to
 //!    [`AdmmSolver::solve_from`] on the final tensor with the same
 //!    (grown) model — for empty deltas, value updates, inserts, and
-//!    dimension growth alike, on both the tiled and the COO layout.
+//!    dimension growth alike, on both the tiled and the COO layout, and
+//!    with a graph Laplacian whose truncation the streaming solver
+//!    computed once, up front.
 //! 2. **Tolerance vs a cold solve.** A delta sequence plus warm
 //!    re-solves must land at the same training quality a from-scratch
 //!    solve of the final tensor reaches (local minima differ in the
@@ -18,6 +20,8 @@
 //! covered without test-side plumbing.
 
 use distenc::core::{AdmmConfig, AdmmSolver, LayoutKind};
+use distenc::graph::builders::tridiagonal_chain;
+use distenc::graph::Laplacian;
 use distenc::stream::{DeltaBatch, StreamingSolver};
 use distenc::tensor::{CooTensor, KruskalTensor};
 use proptest::prelude::*;
@@ -113,6 +117,53 @@ fn empty_delta_warm_resolve_is_bit_exact() {
             .unwrap();
         assert_eq!(warm.iterations, oracle.iterations, "layout {layout}");
         assert_models_bit_equal(&warm.model, &oracle.model, "empty delta");
+    }
+}
+
+#[test]
+fn graph_regularized_warm_resolve_reuses_the_truncation_bit_exactly() {
+    // Mode 1 carries a Laplacian over 210 nodes, so its truncation takes
+    // the Lanczos path. The streaming solver truncates it once, in `new`;
+    // every warm re-solve must still be bit-identical to `solve_from`,
+    // which truncates afresh — also after `set_budget` and after mode 0
+    // (no Laplacian) grows.
+    let shape = [9, 210, 7];
+    let observed = planted(&shape, 2, 900, 41);
+    let lap = Laplacian::from_similarity(tridiagonal_chain(shape[1]));
+    let mut cfg = AdmmConfig { rank: 2, max_iters: 6, tol: 1e-12, ..Default::default() };
+    let mut s = StreamingSolver::new(observed, vec![None, Some(lap.clone()), None], cfg.clone())
+        .unwrap();
+    s.solve().unwrap();
+    let laps = [None, Some(&lap), None];
+    for round in 0..2 {
+        if round == 1 {
+            s.set_budget(4, 1e-9).unwrap();
+            (cfg.max_iters, cfg.tol) = (4, 1e-9);
+        }
+        let base = s.observed().shape().to_vec();
+        let update = s.observed().index(3 * round + 1).to_vec();
+        let mut insert = vec![base[0], 5 + round, 2];
+        assert!(s.observed().position_of(&insert).is_none());
+        let grown = DeltaBatch::try_new(&base, &[1, 0, 0], vec![(insert.clone(), 0.4)], vec![])
+            .unwrap();
+        s.apply(&grown).unwrap();
+        insert[0] = 0;
+        while s.observed().position_of(&insert).is_some() {
+            insert[1] += 1;
+        }
+        let shape_now = s.observed().shape().to_vec();
+        let mixed =
+            DeltaBatch::try_new(&shape_now, &[0, 0, 0], vec![(insert, -0.3)], vec![(update, 0.2)])
+                .unwrap();
+        s.apply(&mixed).unwrap();
+
+        let oracle = AdmmSolver::new(cfg.clone())
+            .unwrap()
+            .solve_from(s.observed(), &laps, s.model().unwrap())
+            .unwrap();
+        let warm = s.solve().unwrap();
+        assert_eq!(warm.iterations, oracle.iterations, "round {round}");
+        assert_models_bit_equal(&warm.model, &oracle.model, &format!("round {round}"));
     }
 }
 
